@@ -12,6 +12,8 @@ from .errors import InternalInvariantError, ParameterError
 from .hodge_report import certify_product, certify_single
 from .params import classify, validate
 from .scanner import (
+    FORMATS,
+    METHODS,
     ScanSpec,
     atomic_write,
     certificate_to_dict,
@@ -25,7 +27,7 @@ from .scanner import (
     run_scan,
     witness_to_dict,
 )
-from .witness import brute_force_witness, constructive_witness_prime, constructive_witness_q
+from .witness import brute_force_witness, constructive_witness
 
 
 class _Parser(argparse.ArgumentParser):
@@ -80,15 +82,14 @@ def build_parser() -> _Parser:
 
     scan = subs.add_parser("scan", help="scan a parameter grid")
     _add_grid_args(scan)
-    scan.add_argument("--mode", choices=("certify", "witness"), default="certify")
-    scan.add_argument("--method", choices=("constructive", "brute", "both"), default="both")
-    scan.add_argument("--format", choices=("json", "csv"), default="json")
+    scan.add_argument("--method", choices=METHODS, default="both")
+    scan.add_argument("--format", choices=FORMATS, default="json")
     scan.add_argument("--out", type=str, default=None, help="write the report here")
     scan.set_defaults(func=cmd_scan)
 
     wit = subs.add_parser("witness", help="compute witnesses for one parameter point")
     _add_point_args(wit)
-    wit.add_argument("--method", choices=("constructive", "brute", "both"), default="both")
+    wit.add_argument("--method", choices=METHODS, default="both")
     wit.add_argument("--out", type=str, default=None, help="write the report here")
     wit.set_defaults(func=cmd_witness)
 
@@ -127,7 +128,6 @@ def cmd_scan(args: argparse.Namespace) -> int:
         n_max=args.n_max,
         primes=_parse_primes(args.primes),
         r_max=args.r_max,
-        mode=args.mode,
         output_path=args.out,
         format=args.format,
     )
@@ -141,12 +141,7 @@ def cmd_scan(args: argparse.Namespace) -> int:
 def cmd_witness(args: argparse.Namespace) -> int:
     params = validate(args.n, args.p, args.r)
     conds = classify(params)
-    constructive = None
-    if args.method in ("constructive", "both"):
-        if conds.witness_prime_applicable:
-            constructive = constructive_witness_prime(params)
-        elif conds.witness_q_applicable:
-            constructive = constructive_witness_q(params)
+    constructive = constructive_witness(params, conds) if args.method != "brute" else None
     brute = brute_force_witness(params) if args.method in ("brute", "both") else None
     body = {
         "n": params.n,

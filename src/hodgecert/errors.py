@@ -60,7 +60,7 @@ class InternalInvariantError(RuntimeError):
 
 
 class InternalContradictionError(InternalInvariantError):
-    """Both shifted Bezout candidates failed, which the construction rules out."""
+    """Results the theory ties together disagree, e.g. both Bezout candidates failed."""
 
 
 class BoundViolatedError(InternalInvariantError):

@@ -14,12 +14,13 @@ from .cm_type import multiplicities, new_part_dim, semisimplicity_criterion
 from .errors import (
     ExponentTooSmallError,
     HyperellipticExcludedError,
+    InternalContradictionError,
     LevelInconclusiveError,
     NotPrimeError,
     ProductHypothesisFailedError,
 )
 from .params import ConditionStatus, CurveParams, classify, is_prime, validate
-from .witness import Witness, constructive_witness_prime, constructive_witness_q, verify_witness
+from .witness import Witness, constructive_witness
 
 
 class Verdict(Enum):
@@ -79,32 +80,35 @@ def unitary_dims(params: CurveParams) -> tuple[int, int, int]:
 
 
 def certify_single(params: CurveParams) -> HodgeCertificate:
-    """Certify one level.  Determined iff the sufficiency conditions hold,
-    a constructive witness verifies, and the multiplicity criterion holds;
+    """Certify one level.  Determined iff the sufficiency conditions hold;
     the dimension ledger is populated either way."""
     if params.q == 2:
         raise HyperellipticExcludedError("q = 2 certificates are out of scope")
-
     conds = classify(params)
-    dim_u, dim_c, dim_ss = unitary_dims(params)
+    return certificate_from_witness(params, conds, constructive_witness(params, conds))
 
+
+def certificate_from_witness(
+    params: CurveParams, conds: ConditionStatus, witness: Witness | None
+) -> HodgeCertificate:
+    """Certificate for q > 2 from conds = classify(params) and witness =
+    constructive_witness(params, conds).  Where the theorem applies, so does a
+    route, and its verified i is a tau the multiplicity criterion accepts."""
     verdict = Verdict.INCONCLUSIVE
-    witness: Witness | None = None
     if conds.theorem_applicable:
-        if conds.witness_prime_applicable:
-            cand = constructive_witness_prime(params)
-        else:
-            cand = constructive_witness_q(params)
         flag, _tau = semisimplicity_criterion(multiplicities(params))
-        if verify_witness(params, cand) and flag:
-            verdict = Verdict.DETERMINED
-            witness = cand
-
+        if witness is None or not flag:
+            raise InternalContradictionError(
+                f"theorem applies without a witness the criterion accepts "
+                f"at n = {params.n}, p = {params.p}, q = {params.q}"
+            )
+        verdict = Verdict.DETERMINED
+    dim_u, dim_c, dim_ss = unitary_dims(params)
     return HodgeCertificate(
         params=params,
         verdict=verdict,
         assumption_note=GALOIS_ASSUMPTION,
-        witness=witness,
+        witness=witness if verdict is Verdict.DETERMINED else None,
         dim_abelian_variety=new_part_dim(params),
         dim_unitary=dim_u,
         dim_center=dim_c,

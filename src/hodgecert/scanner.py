@@ -26,12 +26,14 @@ from .hodge_report import (
     HodgeCertificate,
     ProductCertificate,
     Verdict,
-    certify_single,
+    certificate_from_witness,
+    certify_single,  # noqa: F401  (perfbench's tracer test reads scanner.certify_single)
 )
 from .params import MAX_SUPPORTED, ConditionStatus, CurveParams, classify, is_prime, validate
 from .witness import (
     Witness,
     brute_force_witness,
+    constructive_witness,
     constructive_witness_prime,
     constructive_witness_q,
     verify_witness,
@@ -40,7 +42,6 @@ from .witness import (
 SCHEMA_VERSION = "1"
 TOOL = f"hodgecert {__version__}"
 
-MODES = ("certify", "witness", "remark_check")
 FORMATS = ("json", "csv")
 METHODS = ("constructive", "brute", "both")
 
@@ -71,7 +72,6 @@ class ScanSpec:
     n_max: int
     primes: tuple[int, ...]
     r_max: int
-    mode: str = "certify"
     output_path: str | None = None
     format: str = "json"
 
@@ -85,8 +85,6 @@ class ScanSpec:
                 raise NotPrimeError(f"p = {p} is not prime")
         if self.r_max < 1:
             raise ExponentTooSmallError(f"r_max = {self.r_max}; need at least 1")
-        if self.mode not in MODES:
-            raise ParameterError(f"unknown mode {self.mode!r}")
         if self.format not in FORMATS:
             raise ParameterError(f"unknown format {self.format!r}")
 
@@ -295,24 +293,14 @@ def _grid(spec: ScanSpec):
 
 
 def compute_row(params: CurveParams, method: str = "both") -> ScanRow:
-    """One scan row; every emitted witness is re-verified first."""
+    """One scan row; every emitted witness is re-verified first.  The one
+    constructive witness feeds the certificate; method picks the columns."""
     if method not in METHODS:
         raise ParameterError(f"unknown method {method!r}")
     conds = classify(params)
+    built = constructive_witness(params, conds)
 
-    wc: tuple[int, str] | None = None
-    if method in ("constructive", "both"):
-        cand: Witness | None = None
-        if conds.witness_prime_applicable:
-            cand = constructive_witness_prime(params)
-        elif conds.witness_q_applicable:
-            cand = constructive_witness_q(params)
-        if cand is not None:
-            if not verify_witness(params, cand):
-                raise InternalInvariantError(
-                    f"constructive witness failed verification at n={params.n}, q={params.q}"
-                )
-            wc = (cand.i, cand.branch.value)
+    wc = None if built is None or method == "brute" else (built.i, built.branch.value)
 
     wb: int | None = None
     if method in ("brute", "both"):
@@ -324,26 +312,8 @@ def compute_row(params: CurveParams, method: str = "both") -> ScanRow:
                 )
             wb = found.i
 
-    if params.q == 2:
-        # No certification at q = 2: the dimension ledger is undefined there.
-        return ScanRow(
-            n=params.n,
-            p=params.p,
-            r=params.r,
-            q=params.q,
-            holds_A=conds.holds_A,
-            holds_B=conds.holds_B,
-            holds_C=conds.holds_C,
-            witness_constructive=wc,
-            witness_bruteforce=wb,
-            verdict=Verdict.OUT_OF_SCOPE.value,
-            dim_abelian_variety=None,
-            dim_unitary=None,
-            dim_center=None,
-            dim_semisimple=None,
-        )
-
-    cert = certify_single(params)
+    # No certification at q = 2: the dimension ledger is undefined there.
+    cert = None if params.q == 2 else certificate_from_witness(params, conds, built)
     return ScanRow(
         n=params.n,
         p=params.p,
@@ -354,11 +324,11 @@ def compute_row(params: CurveParams, method: str = "both") -> ScanRow:
         holds_C=conds.holds_C,
         witness_constructive=wc,
         witness_bruteforce=wb,
-        verdict=cert.verdict.value,
-        dim_abelian_variety=cert.dim_abelian_variety,
-        dim_unitary=cert.dim_unitary,
-        dim_center=cert.dim_center,
-        dim_semisimple=cert.dim_semisimple,
+        verdict=Verdict.OUT_OF_SCOPE.value if cert is None else cert.verdict.value,
+        dim_abelian_variety=None if cert is None else cert.dim_abelian_variety,
+        dim_unitary=None if cert is None else cert.dim_unitary,
+        dim_center=None if cert is None else cert.dim_center,
+        dim_semisimple=None if cert is None else cert.dim_semisimple,
     )
 
 

@@ -19,7 +19,7 @@ from .errors import (
     ParameterError,
     PreconditionViolatedError,
 )
-from .params import CurveParams
+from .params import ConditionStatus, CurveParams
 
 # floor_mult guards its product at 2^128; validated params keep n*i < 2^80.
 MAX_PRODUCT = 1 << 128
@@ -71,7 +71,21 @@ class DerivationTrace:
     t: int
     d_prime: int
     q_prime: int
-    steps: tuple[str, ...]
+
+    @property
+    def steps(self) -> tuple[str, ...]:
+        """Each derivation step as text, rebuilt from q = t*q' and n = k*q + c."""
+        k, c, d, t = self.k, self.c, self.d, self.t
+        q = t * self.q_prime
+        n = k * q + c
+        return (
+            f"k = floor({n}/{q}) = {k}",
+            f"c = {n} - {k}*{q} = {c}",
+            f"d = c - 1 = {d}",
+            f"t = gcd({d}, {q}) = {t}",
+            f"d' = {d}/{t} = {self.d_prime}",
+            f"q' = {q}/{t} = {self.q_prime}",
+        )
 
 
 def floor_mult(n: int, i: int, q: int) -> int:
@@ -87,22 +101,12 @@ def floor_mult(n: int, i: int, q: int) -> int:
 
 
 def derivation_trace(params: CurveParams) -> DerivationTrace:
-    """Compute k, c, d, t, d', q' for params, recording each step."""
-    n, q = params.n, params.q
-    k, c = divmod(n, q)
+    """Compute k, c, d, t, d', q' for params."""
+    q = params.q
+    k, c = divmod(params.n, q)
     d = c - 1
     t = math.gcd(d, q)  # gcd(0, q) = q when q divides n - 1
-    d_prime = d // t
-    q_prime = q // t
-    steps = (
-        f"k = floor({n}/{q}) = {k}",
-        f"c = {n} - {k}*{q} = {c}",
-        f"d = c - 1 = {d}",
-        f"t = gcd({d}, {q}) = {t}",
-        f"d' = {d}/{t} = {d_prime}",
-        f"q' = {q}/{t} = {q_prime}",
-    )
-    return DerivationTrace(k=k, c=c, d=d, t=t, d_prime=d_prime, q_prime=q_prime, steps=steps)
+    return DerivationTrace(k=k, c=c, d=d, t=t, d_prime=d // t, q_prime=q // t)
 
 
 def floor_correction_vanishes(trace: DerivationTrace, i: int, params: CurveParams) -> bool:
@@ -131,10 +135,9 @@ def brute_force_witness(params: CurveParams) -> Witness | None:
     return None
 
 
-def _modular_inverse_witness(params: CurveParams) -> Witness:
+def _modular_inverse_witness(params: CurveParams, tr: DerivationTrace) -> Witness:
     """Witness i = d^-1 mod q, valid whenever d >= 1 and p does not divide d."""
     n, p, q = params.n, params.p, params.q
-    tr = derivation_trace(params)
     if tr.d < 1 or tr.d % p == 0:
         raise PreconditionViolatedError(
             f"inverse route needs d >= 1 and p coprime to d; got d = {tr.d}, p = {p}"
@@ -190,7 +193,7 @@ def constructive_witness_prime(params: CurveParams) -> Witness:
         return Witness(i=i, floor_value=fv, branch=Branch.MULTIPLIER_SEARCH)
 
     # Remaining range: n > 2q with p coprime to n - 1, hence p coprime to d.
-    return _modular_inverse_witness(params)
+    return _modular_inverse_witness(params, derivation_trace(params))
 
 
 def _power_of_two_witness(params: CurveParams) -> Witness:
@@ -261,7 +264,7 @@ def constructive_witness_q(params: CurveParams) -> Witness:
 
     tr = derivation_trace(params)
     if tr.d % p != 0:
-        return _modular_inverse_witness(params)
+        return _modular_inverse_witness(params, tr)
     if p == 2 and (n + 1) % q == 0:
         return _power_of_two_witness(params)
     return _bezout_witness(params, tr)
@@ -340,3 +343,19 @@ def verify_witness(params: CurveParams, w: Witness) -> bool:
     if math.gcd(w.floor_value, n - 1) != 1:
         return False
     return _verify_branch(params, w)
+
+
+def constructive_witness(params: CurveParams, conds: ConditionStatus) -> Witness | None:
+    """The verified witness of the first route conds = classify(params) allows
+    (odd-prime, then prime-power), or None.  A failed verification is a bug."""
+    if conds.witness_prime_applicable:
+        w = constructive_witness_prime(params)
+    elif conds.witness_q_applicable:
+        w = constructive_witness_q(params)
+    else:
+        return None
+    if not verify_witness(params, w):
+        raise InternalInvariantError(
+            f"constructive witness failed verification at n={params.n}, q={params.q}"
+        )
+    return w

@@ -52,6 +52,11 @@ class TestCertify:
 
 
 class TestUsageErrors:
+    def test_scan_mode_removed(self, capsys):
+        argv = ["scan", "--n-min", "5", "--n-max", "9", "--primes", "3", "--r-max", "1"]
+        assert main(argv + ["--mode", "certify"]) == 1
+        assert "--mode" in capsys.readouterr().err
+
     def test_missing_argument(self, capsys):
         assert main(["certify", "--n", "5", "--p", "3"]) == 1
 
@@ -69,6 +74,18 @@ class TestUsageErrors:
         code = main(["certify", "--n", "5", "--p", "3", "--r", "1", "--out", str(missing)])
         assert code == 1
         assert "io error" in capsys.readouterr().err
+
+
+class TestInternalErrors:
+    @pytest.mark.parametrize("command", ["certify", "witness"])
+    def test_unverified_witness_exits_2(self, command, capsys, monkeypatch):
+        import hodgecert.witness
+
+        monkeypatch.setattr(hodgecert.witness, "verify_witness", lambda params, w: False)
+        assert main([command, "--n", "5", "--p", "3", "--r", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("internal invariant violation")
 
 
 class TestWitness:

@@ -3,6 +3,8 @@ from hypothesis import given, settings
 
 from hodgecert import (
     HyperellipticExcludedError,
+    InternalContradictionError,
+    InternalInvariantError,
     ProductHypothesisFailedError,
     Verdict,
     brute_force_witness,
@@ -92,6 +94,25 @@ class TestCertifySingle:
         cert = certify_single(params)
         if cert.verdict is Verdict.INCONCLUSIVE and cert.conditions.theorem_applicable:
             assert brute_force_witness(params) is None
+
+
+class TestCertifyInvariants:
+    def test_unverified_witness_raises(self, monkeypatch):
+        import hodgecert.witness
+
+        monkeypatch.setattr(hodgecert.witness, "verify_witness", lambda params, w: False)
+        with pytest.raises(InternalInvariantError):
+            certify_single(validate(5, 3, 1))
+
+    def test_rejected_criterion_raises(self, monkeypatch):
+        # A verified witness i is itself a residue the criterion accepts.
+        import hodgecert.hodge_report
+
+        monkeypatch.setattr(
+            hodgecert.hodge_report, "semisimplicity_criterion", lambda cm: (False, None)
+        )
+        with pytest.raises(InternalContradictionError):
+            certify_single(validate(5, 3, 1))
 
 
 class TestCenterDimProduct:

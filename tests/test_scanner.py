@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import os
+from operator import attrgetter
 
 import pytest
 
@@ -12,6 +13,8 @@ from hodgecert import (
     ScanSpec,
     atomic_write,
     build_rows,
+    certify_single,
+    compute_row,
     cross_validation_to_dict,
     remark_report_to_dict,
     row_to_dict,
@@ -19,6 +22,7 @@ from hodgecert import (
     run_cross_validate,
     run_remark_check,
     run_scan,
+    validate,
 )
 
 
@@ -37,10 +41,6 @@ class TestSpecValidation:
     def test_bad_prime(self):
         with pytest.raises(NotPrimeError):
             ScanSpec(5, 10, (9,), 1)
-
-    def test_bad_mode(self):
-        with pytest.raises(ParameterError):
-            ScanSpec(5, 10, (3,), 1, mode="frobnicate")
 
     def test_bad_format(self):
         with pytest.raises(ParameterError):
@@ -83,6 +83,40 @@ class TestRows:
             assert row.verdict == "OutOfScope"
             assert row.dim_abelian_variety is None
             assert row.dim_unitary is None
+
+
+class TestRowMatchesCertificate:
+    def test_verdict_and_ledger(self):
+        ledger = attrgetter("dim_abelian_variety", "dim_unitary", "dim_center", "dim_semisimple")
+        for p in (2, 3, 5, 7):
+            for r in (1, 2, 3):
+                if p**r == 2:
+                    continue
+                for n in range(4, 201):
+                    if n % p == 0:
+                        continue
+                    params = validate(n, p, r)
+                    row, cert = compute_row(params), certify_single(params)
+                    assert row.verdict == cert.verdict.value
+                    assert ledger(row) == ledger(cert)
+
+    def test_one_construction_per_row(self, monkeypatch):
+        import hodgecert.witness
+
+        calls = []
+        for name in ("constructive_witness_prime", "constructive_witness_q"):
+            original = getattr(hodgecert.witness, name)
+
+            def counted(params, _original=original):
+                calls.append(params)
+                return _original(params)
+
+            monkeypatch.setattr(hodgecert.witness, name, counted)
+        # odd-prime route only, general route only, both routes, no route
+        for (n, p, r), builds in (((10, 3, 2), 1), ((31, 3, 2), 1), ((11, 3, 2), 1), ((19, 3, 2), 0)):
+            calls.clear()
+            compute_row(validate(n, p, r), method="both")
+            assert len(calls) == builds
 
 
 class TestSerialization:

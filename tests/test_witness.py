@@ -12,6 +12,7 @@ from hodgecert import (
     Witness,
     brute_force_witness,
     classify,
+    constructive_witness,
     constructive_witness_prime,
     constructive_witness_q,
     derivation_trace,
@@ -55,7 +56,14 @@ class TestDerivationTrace:
     def test_example_13_3_2(self):
         tr = derivation_trace(validate(13, 3, 2))
         assert (tr.k, tr.c, tr.d, tr.t, tr.d_prime, tr.q_prime) == (1, 4, 3, 3, 1, 3)
-        assert len(tr.steps) == 6
+        assert tr.steps == (
+            "k = floor(13/9) = 1",
+            "c = 13 - 1*9 = 4",
+            "d = c - 1 = 3",
+            "t = gcd(3, 9) = 3",
+            "d' = 3/3 = 1",
+            "q' = 9/3 = 3",
+        )
 
     def test_example_31_3_2(self):
         tr = derivation_trace(validate(31, 3, 2))
@@ -88,13 +96,13 @@ class TestFloorCorrection:
         # fails; the triple cannot arise under the construction preconditions.
         from hodgecert import DerivationTrace
 
-        tr = DerivationTrace(k=0, c=0, d=0, t=2, d_prime=0, q_prime=4, steps=())
+        tr = DerivationTrace(k=0, c=0, d=0, t=2, d_prime=0, q_prime=4)
         assert not floor_correction_vanishes(tr, 3, validate(15, 2, 3))
 
     def test_vanishes_q27(self):
         from hodgecert import DerivationTrace
 
-        tr = DerivationTrace(k=0, c=0, d=0, t=3, d_prime=0, q_prime=9, steps=())
+        tr = DerivationTrace(k=0, c=0, d=0, t=3, d_prime=0, q_prime=9)
         assert floor_correction_vanishes(tr, 2, validate(31, 3, 3))
 
 
@@ -195,6 +203,19 @@ class TestConstructiveQ:
             constructive_witness_q(validate(7, 2, 3))
         with pytest.raises(PreconditionViolatedError):
             constructive_witness_q(validate(5, 2, 1))
+
+
+class TestConstructiveWitness:
+    def test_picks_the_route(self):
+        for params in small_grid(max_q=81, max_n=120):
+            conds = classify(params)
+            w = constructive_witness(params, conds)
+            if conds.witness_prime_applicable:
+                assert w == constructive_witness_prime(params)
+            elif conds.witness_q_applicable:
+                assert w == constructive_witness_q(params)
+            else:
+                assert w is None
 
 
 class TestVerify:
