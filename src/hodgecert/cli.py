@@ -2,7 +2,7 @@
 
 Subcommands: certify, scan, witness, remark-check, cross-validate.
 Exit codes: 0 success (including Inconclusive verdicts), 1 usage or
-parameter errors, 2 internal invariant violations.
+parameter errors, 2 internal invariant violations (including failed asserts).
 """
 
 import argparse
@@ -17,9 +17,7 @@ from .scanner import (
     ScanSpec,
     atomic_write,
     certificate_to_dict,
-    cross_validation_to_dict,
     product_to_dict,
-    remark_report_to_dict,
     render_json,
     report_envelope,
     run_cross_validate,
@@ -128,13 +126,10 @@ def cmd_scan(args: argparse.Namespace) -> int:
         n_max=args.n_max,
         primes=_parse_primes(args.primes),
         r_max=args.r_max,
-        output_path=args.out,
         format=args.format,
     )
     _rows, payload = run_scan(spec, method=args.method)
-    if args.out is None:
-        sys.stdout.buffer.write(payload)
-        sys.stdout.buffer.flush()
+    _emit(payload, args.out)
     return 0
 
 
@@ -159,7 +154,7 @@ def cmd_witness(args: argparse.Namespace) -> int:
 
 def cmd_remark_check(args: argparse.Namespace) -> int:
     report = run_remark_check(args.n_max)
-    _emit(render_json(report_envelope("remark_check", remark_report_to_dict(report))), args.out)
+    _emit(render_json(report_envelope("remark_check", report)), args.out)
     return 0
 
 
@@ -171,10 +166,7 @@ def cmd_cross_validate(args: argparse.Namespace) -> int:
         r_max=args.r_max,
     )
     report = run_cross_validate(spec)
-    _emit(
-        render_json(report_envelope("cross_validation", cross_validation_to_dict(report))),
-        args.out,
-    )
+    _emit(render_json(report_envelope("cross_validation", report)), args.out)
     return 0
 
 
@@ -189,8 +181,9 @@ def main(argv: list[str] | None = None) -> int:
     except ParameterError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except InternalInvariantError as exc:
-        print(f"internal invariant violation: {exc}", file=sys.stderr)
+    except (InternalInvariantError, AssertionError) as exc:
+        # A failed assert checks a theorem invariant too: a bug, not bad input.
+        print(f"internal invariant violation: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)

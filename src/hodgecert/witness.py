@@ -24,6 +24,9 @@ from .params import ConditionStatus, CurveParams
 # floor_mult guards its product at 2^128; validated params keep n*i < 2^80.
 MAX_PRODUCT = 1 << 128
 
+# Largest q the exhaustive oracle scans (about 0.2 us per i, so seconds here).
+MAX_ORACLE_Q = 1 << 24
+
 
 class Branch(Enum):
     """How a witness was obtained."""
@@ -121,9 +124,15 @@ def floor_correction_vanishes(trace: DerivationTrace, i: int, params: CurveParam
 def brute_force_witness(params: CurveParams) -> Witness | None:
     """Smallest admissible i found by scanning 1..q-1, or None.
 
-    Serves as the independent oracle for the constructive routines.
+    Serves as the independent oracle for the constructive routines.  Refuses
+    q > MAX_ORACLE_Q up front, since the scan is linear in q.
     """
     n, p, q = params.n, params.p, params.q
+    if q > MAX_ORACLE_Q:
+        raise BoundExceededError(
+            f"q = {q} exceeds the exhaustive oracle bound {MAX_ORACLE_Q}; "
+            "witness and scan skip the oracle with --method constructive"
+        )
     n1 = n - 1
     gcd = math.gcd
     for i in range(1, q):

@@ -68,10 +68,10 @@ def test_criterion_1_constructive_routes_agree_with_oracle_on_full_grid():
     points = prime_checked = general_checked = agreements = 0
     for p, r_max in R_MAX_729.items():
         report = run_cross_validate(ScanSpec(4, 3000, (p,), r_max))
-        points += report.points
-        prime_checked += report.prime_construction_checked
-        general_checked += report.general_construction_checked
-        agreements += report.oracle_agreements
+        points += report["points"]
+        prime_checked += report["prime_construction_checked"]
+        general_checked += report["general_construction_checked"]
+        agreements += report["oracle_agreements"]
     elapsed = time.monotonic() - start
     assert points > 50000
     assert prime_checked > 10000

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -86,6 +87,37 @@ class TestInternalErrors:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("internal invariant violation")
+
+    def test_failed_assert_exits_2(self, capsys, monkeypatch):
+        import hodgecert.witness
+
+        original = hodgecert.witness.floor_mult
+        monkeypatch.setattr(
+            hodgecert.witness, "floor_mult", lambda n, i, q: original(n, i, q) + 1
+        )
+        assert main(["certify", "--n", "5", "--p", "3", "--r", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("internal invariant violation")
+
+
+class TestOracleBound:
+    # witness-free point with q = 3^24: the exhaustive oracle is refused up front
+    POINT = ["witness", "--n", "564859072963", "--p", "3", "--r", "24"]
+
+    def test_default_method_exits_1_at_once(self, capsys):
+        start = time.monotonic()
+        assert main(self.POINT) == 1
+        assert time.monotonic() - start < 1.0
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--method constructive" in captured.err
+
+    def test_constructive_method_succeeds_at_once(self, capsys):
+        start = time.monotonic()
+        doc = run_json(capsys, self.POINT + ["--method", "constructive"])
+        assert time.monotonic() - start < 1.0
+        assert doc["witness_report"]["constructive"] is None
 
 
 class TestWitness:

@@ -2,7 +2,7 @@ import csv
 import io
 import json
 import os
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 
 import pytest
 
@@ -15,9 +15,6 @@ from hodgecert import (
     build_rows,
     certify_single,
     compute_row,
-    cross_validation_to_dict,
-    remark_report_to_dict,
-    row_to_dict,
     rows_to_csv_bytes,
     run_cross_validate,
     run_remark_check,
@@ -52,25 +49,25 @@ class TestRows:
         rows = build_rows(ScanSpec(5, 20, (3,), 2))
         # 11 degrees coprime to 3 in [5, 20], for each of r = 1, 2
         assert len(rows) == 22
-        keys = [(row.p, row.r, row.n) for row in rows]
+        keys = [(row["p"], row["r"], row["n"]) for row in rows]
         assert keys == sorted(keys)
 
     def test_witness_free_row(self):
         rows = build_rows(ScanSpec(19, 19, (3,), 2))
-        row = next(r for r in rows if r.r == 2)
-        assert row.witness_constructive is None
-        assert row.witness_bruteforce is None
-        assert row.verdict == "Inconclusive"
-        assert (row.dim_unitary, row.dim_center, row.dim_semisimple) == (972, 3, 969)
+        row = next(r for r in rows if r["r"] == 2)
+        assert row["witness_constructive"] is None
+        assert row["witness_bruteforce"] is None
+        assert row["verdict"] == "Inconclusive"
+        assert (row["dim_unitary"], row["dim_center"], row["dim_semisimple"]) == (972, 3, 969)
 
     def test_methods_restrict_columns(self):
         spec = ScanSpec(13, 13, (3,), 2)
         only_constructive = build_rows(spec, method="constructive")
         only_brute = build_rows(spec, method="brute")
-        assert all(r.witness_bruteforce is None for r in only_constructive)
-        assert all(r.witness_constructive is None for r in only_brute)
-        assert any(r.witness_constructive is not None for r in only_constructive)
-        assert any(r.witness_bruteforce is not None for r in only_brute)
+        assert all(r["witness_bruteforce"] is None for r in only_constructive)
+        assert all(r["witness_constructive"] is None for r in only_brute)
+        assert any(r["witness_constructive"] is not None for r in only_constructive)
+        assert any(r["witness_bruteforce"] is not None for r in only_brute)
 
     def test_unknown_method(self):
         with pytest.raises(ParameterError):
@@ -78,16 +75,16 @@ class TestRows:
 
     def test_hyperelliptic_rows_out_of_scope(self):
         rows = build_rows(ScanSpec(5, 9, (2,), 1))
-        assert [r.n for r in rows] == [5, 7, 9]
+        assert [r["n"] for r in rows] == [5, 7, 9]
         for row in rows:
-            assert row.verdict == "OutOfScope"
-            assert row.dim_abelian_variety is None
-            assert row.dim_unitary is None
+            assert row["verdict"] == "OutOfScope"
+            assert row["dim_abelian_variety"] is None
+            assert row["dim_unitary"] is None
 
 
 class TestRowMatchesCertificate:
     def test_verdict_and_ledger(self):
-        ledger = attrgetter("dim_abelian_variety", "dim_unitary", "dim_center", "dim_semisimple")
+        fields = ("dim_abelian_variety", "dim_unitary", "dim_center", "dim_semisimple")
         for p in (2, 3, 5, 7):
             for r in (1, 2, 3):
                 if p**r == 2:
@@ -97,8 +94,8 @@ class TestRowMatchesCertificate:
                         continue
                     params = validate(n, p, r)
                     row, cert = compute_row(params), certify_single(params)
-                    assert row.verdict == cert.verdict.value
-                    assert ledger(row) == ledger(cert)
+                    assert row["verdict"] == cert.verdict.value
+                    assert itemgetter(*fields)(row) == attrgetter(*fields)(cert)
 
     def test_one_construction_per_row(self, monkeypatch):
         import hodgecert.witness
@@ -148,27 +145,38 @@ class TestSerialization:
         _comment, _header, records = parse_csv(rows_to_csv_bytes(rows))
         docs = json.loads(json_payload)["rows"]
         assert len(records) == len(docs) == len(rows)
+        plain = ("n", "p", "r", "q", "holds_A", "holds_B", "holds_C", "verdict")
+        dims = ("dim_abelian_variety", "dim_unitary", "dim_center", "dim_semisimple")
+
+        def cell(value):
+            if value is None:
+                return ""
+            if isinstance(value, bool):
+                return "true" if value else "false"
+            return str(value)
+
         for rec, doc in zip(records, docs):
-            assert int(rec["n"]) == doc["n"]
-            assert int(rec["q"]) == doc["q"]
-            assert (rec["holds_A"] == "true") == doc["holds_A"]
-            assert (rec["holds_B"] == "true") == doc["holds_B"]
-            assert rec["verdict"] == doc["verdict"]
-            wc = doc["witness_constructive"]
-            if wc is None:
-                assert rec["witness_constructive_i"] == ""
-                assert rec["witness_constructive_branch"] == ""
-            else:
-                assert int(rec["witness_constructive_i"]) == wc["i"]
-                assert rec["witness_constructive_branch"] == wc["branch"]
-            if doc["dim_unitary"] is None:
-                assert rec["dim_unitary"] == ""
-            else:
-                assert int(rec["dim_unitary"]) == doc["dim_unitary"]
+            wc = doc["witness_constructive"] or {}
+            expected = {key: doc[key] for key in plain + dims}
+            expected["witness_constructive_i"] = wc.get("i")
+            expected["witness_constructive_branch"] = wc.get("branch")
+            expected["witness_bruteforce_i"] = doc["witness_bruteforce"]
+            assert rec == {key: cell(value) for key, value in expected.items()}
 
     def test_row_dict_field_order(self):
         row = build_rows(ScanSpec(5, 5, (3,), 1))[0]
-        assert list(row_to_dict(row))[:4] == ["n", "p", "r", "q"]
+        assert list(row)[:4] == ["n", "p", "r", "q"]
+
+    def test_csv_columns_follow_row_keys(self):
+        keys = []
+        for key in compute_row(validate(31, 3, 2)):
+            if key == "witness_constructive":
+                keys += ["witness_constructive_i", "witness_constructive_branch"]
+            elif key == "witness_bruteforce":
+                keys.append("witness_bruteforce_i")
+            else:
+                keys.append(key)
+        assert tuple(keys) == CSV_COLUMNS
 
 
 class TestAtomicWrite:
@@ -199,20 +207,20 @@ class TestAtomicWrite:
 
 class TestRemarkCheck:
     def test_small(self):
-        assert run_remark_check(9).matching == (7,)
-        assert run_remark_check(15).matching == (7, 15)
+        assert run_remark_check(9)["matching"] == [7]
+        assert run_remark_check(15)["matching"] == [7, 15]
 
     def test_thousand(self):
         report = run_remark_check(1000)
-        assert report.passed and len(report.matching) == 125
-        assert all(n % 8 == 7 for n in report.matching)
+        assert report["passed"] and len(report["matching"]) == 125
+        assert all(n % 8 == 7 for n in report["matching"])
 
     def test_rejects_tiny_bound(self):
         with pytest.raises(ParameterError):
             run_remark_check(8)
 
     def test_dict(self):
-        doc = remark_report_to_dict(run_remark_check(15))
+        doc = run_remark_check(15)
         assert doc == {
             "n_max": 15,
             "passed": True,
@@ -227,10 +235,8 @@ class TestCrossValidate:
         # covers the shifted Bezout point (31, 3, 2) and the power-of-two
         # special point (15, 2, 3)
         report = run_cross_validate(ScanSpec(4, 31, (2, 3), 3))
-        assert report.points > 50
-        assert report.prime_construction_checked > 0
-        assert report.general_construction_checked > 0
-        assert 0 < report.oracle_agreements <= report.points
-        doc = cross_validation_to_dict(report)
-        assert doc["disagreements"] == 0
-        assert doc["points"] == report.points
+        assert report["points"] > 50
+        assert report["prime_construction_checked"] > 0
+        assert report["general_construction_checked"] > 0
+        assert 0 < report["oracle_agreements"] <= report["points"]
+        assert report["disagreements"] == 0

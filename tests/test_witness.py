@@ -1,4 +1,5 @@
 import math
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -21,6 +22,7 @@ from hodgecert import (
     validate,
     verify_witness,
 )
+from hodgecert.witness import MAX_ORACLE_Q
 from support import small_grid, valid_params
 
 
@@ -125,6 +127,19 @@ class TestBruteForce:
             if i % params.p == 0:
                 continue
             assert math.gcd(params.n * i // params.q, params.n - 1) != 1
+
+    def test_refuses_q_above_oracle_bound(self):
+        # witness-free (n = 2q + 1), so an unbounded scan would try all 3^24 - 1 values of i
+        start = time.monotonic()
+        with pytest.raises(BoundExceededError, match="--method constructive"):
+            brute_force_witness(validate(2 * 3**24 + 1, 3, 24))
+        assert time.monotonic() - start < 1.0
+
+    def test_scans_at_oracle_bound(self):
+        assert MAX_ORACLE_Q == 2**24
+        assert brute_force_witness(validate(2**24 + 1, 2, 24)).i == 1
+        with pytest.raises(BoundExceededError):
+            brute_force_witness(validate(2**25 + 1, 2, 25))
 
 
 class TestConstructivePrime:
