@@ -10,7 +10,7 @@ of the multi-level algebra, whose dimension is phi(p^r)/2.
 from dataclasses import dataclass
 from enum import Enum
 
-from .cm_type import multiplicities, new_part_dim, semisimplicity_criterion
+from .cm_type import new_part_dim
 from .errors import (
     ExponentTooSmallError,
     HyperellipticExcludedError,
@@ -80,8 +80,8 @@ def unitary_dims(params: CurveParams) -> tuple[int, int, int]:
 
 
 def certify_single(params: CurveParams) -> HodgeCertificate:
-    """Certify one level.  Determined iff the sufficiency conditions hold;
-    the dimension ledger is populated either way."""
+    """Certify one level in O(log q).  Determined iff the sufficiency
+    conditions hold; the dimension ledger is populated either way."""
     if params.q == 2:
         raise HyperellipticExcludedError("q = 2 certificates are out of scope")
     conds = classify(params)
@@ -92,17 +92,16 @@ def certificate_from_witness(
     params: CurveParams, conds: ConditionStatus, witness: Witness | None
 ) -> HodgeCertificate:
     """Certificate for q > 2 from conds = classify(params) and witness =
-    constructive_witness(params, conds).  Where the theorem applies, so does a
-    route, and its verified i is a tau the multiplicity criterion accepts."""
-    verdict = Verdict.INCONCLUSIVE
-    if conds.theorem_applicable:
-        flag, _tau = semisimplicity_criterion(multiplicities(params))
-        if witness is None or not flag:
-            raise InternalContradictionError(
-                f"theorem applies without a witness the criterion accepts "
-                f"at n = {params.n}, p = {params.p}, q = {params.q}"
-            )
-        verdict = Verdict.DETERMINED
+    constructive_witness(params, conds).  A verified witness i is a tau with
+    gcd(floor(n*i/q), n-1) = 1, and for n > q the multiplicities are distinct
+    and positive, so Determined needs only n > q and a witness.  For q > 2 that
+    is conds.theorem_applicable (odd p: prime-power route = B, odd-prime case
+    i = A, case ii implies B; p = 2: odd-prime = A, prime-power = C)."""
+    if conds.theorem_applicable != (conds.n_gt_q and witness is not None):
+        raise InternalContradictionError(
+            f"conditions and witness disagree at n = {params.n}, p = {params.p}, q = {params.q}"
+        )
+    verdict = Verdict.DETERMINED if conds.theorem_applicable else Verdict.INCONCLUSIVE
     dim_u, dim_c, dim_ss = unitary_dims(params)
     return HodgeCertificate(
         params=params,

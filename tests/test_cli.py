@@ -120,6 +120,39 @@ class TestOracleBound:
         assert doc["witness_report"]["constructive"] is None
 
 
+class TestLargeInputs:
+    # near the 2^40 parameter bound certify must not build the O(q)
+    # multiplicity system, so each call finishes well inside the timeout
+    def run_certify(self, args: list[str]) -> dict:
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(Path(hodgecert.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-m", "hodgecert", "certify", *args],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=10,
+        )
+        assert proc.returncode == 0, proc.stderr
+        return json.loads(proc.stdout)
+
+    def test_odd_prime_power(self):
+        doc = self.run_certify(["--n", "847288609445", "--p", "3", "--r", "25"])
+        assert doc["certificate"]["verdict"] == "Determined"
+
+    def test_product(self):
+        doc = self.run_certify(["--n", "847288609445", "--p", "3", "--r", "25", "--product"])
+        prod = doc["product_certificate"]
+        assert len(prod["levels"]) == 25
+        assert prod["dim_center_product"] == 282429536481
+
+    def test_power_of_two(self):
+        doc = self.run_certify(["--n", "1099511627775", "--p", "2", "--r", "38"])
+        cert = doc["certificate"]
+        assert cert["verdict"] == "Determined"
+        assert cert["witness"]["branch"] == "Power2Special"
+
+
 class TestWitness:
     def test_both_methods(self, capsys):
         doc = run_json(capsys, ["witness", "--n", "31", "--p", "3", "--r", "2"])

@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 from hypothesis import given, settings
 
@@ -12,6 +14,7 @@ from hodgecert import (
     certify_product,
     certify_single,
     classify,
+    constructive_witness,
     multiplicities,
     new_part_dim,
     semisimplicity_criterion,
@@ -19,7 +22,8 @@ from hodgecert import (
     validate,
     verify_witness,
 )
-from support import valid_params
+from hodgecert.hodge_report import certificate_from_witness
+from support import small_grid, valid_params
 
 
 class TestUnitaryDims:
@@ -84,6 +88,34 @@ class TestCertifySingle:
         else:
             assert cert.witness is None
 
+    def test_verdict_matches_full_system_on_grid(self):
+        # the full multiplicity system is the oracle for the O(log q) verdict
+        checked = 0
+        for params in small_grid():
+            if params.q == 2 or params.n <= params.q:
+                continue
+            cert = certify_single(params)
+            cm = multiplicities(params)
+            flag, _tau = semisimplicity_criterion(cm)
+            assert (cert.verdict is Verdict.DETERMINED) == flag, params
+            if cert.verdict is Verdict.DETERMINED:
+                assert cm.entries[cert.witness.i] == cert.witness.floor_value
+            checked += 1
+        assert checked > 1000
+
+    @settings(max_examples=500)
+    @given(valid_params(max_q=1 << 40, max_n=1 << 40))
+    def test_verdict_up_to_the_parameter_bound(self, params):
+        if params.q == 2:
+            return
+        conds = classify(params)
+        cert = certify_single(params)
+        determined = cert.verdict is Verdict.DETERMINED
+        has_route = params.n > params.q and constructive_witness(params, conds) is not None
+        assert determined == conds.theorem_applicable == has_route
+        if determined:
+            assert verify_witness(params, cert.witness)
+
     @settings(max_examples=200)
     @given(valid_params())
     def test_inconclusive_has_no_constructive_route(self, params):
@@ -104,15 +136,18 @@ class TestCertifyInvariants:
         with pytest.raises(InternalInvariantError):
             certify_single(validate(5, 3, 1))
 
-    def test_rejected_criterion_raises(self, monkeypatch):
-        # A verified witness i is itself a residue the criterion accepts.
-        import hodgecert.hodge_report
-
-        monkeypatch.setattr(
-            hodgecert.hodge_report, "semisimplicity_criterion", lambda cm: (False, None)
-        )
+    @pytest.mark.parametrize(
+        "point, applicable, with_witness",
+        [((19, 3, 2), True, False), ((5, 3, 1), False, True)],
+        ids=["applicable_without_witness", "witness_where_not_applicable"],
+    )
+    def test_conditions_disagreeing_with_witness_raise(self, point, applicable, with_witness):
+        params = validate(*point)
+        conds = classify(params)
+        witness = constructive_witness(params, conds) if with_witness else None
+        forged = dataclasses.replace(conds, theorem_applicable=applicable)
         with pytest.raises(InternalContradictionError):
-            certify_single(validate(5, 3, 1))
+            certificate_from_witness(params, forged, witness)
 
 
 class TestCenterDimProduct:
