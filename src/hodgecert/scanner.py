@@ -12,6 +12,7 @@ import json
 import os
 import tempfile
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 
 from ._version import __version__
 from .errors import (
@@ -225,8 +226,60 @@ def rows_to_csv_bytes(rows: list[dict]) -> bytes:
     return buf.getvalue()
 
 
+# Row values as json.dumps writes them (ensure_ascii=True).  bool is looked
+# up by its own type, so True never takes the int entry.
+_JSON_SCALARS = {
+    int: int.__repr__,
+    str: encode_basestring_ascii,
+    bool: lambda v: "true" if v else "false",
+    type(None): lambda v: "null",
+}
+
+
+# The scan envelope around its rows array, as render_json lays it out.
+_ROWS_HEAD, _, _ROWS_TAIL = (
+    render_json(report_envelope("rows", [])).decode("ascii").rpartition("[]")
+)
+
+
+def _json_value(value, pad: str) -> str:
+    """A scan-row value (a scalar, or the witness_constructive dict) as
+    json.dumps(indent=2) writes it when its key sits at indent pad."""
+    encode = _JSON_SCALARS.get(type(value))
+    if encode is not None:
+        return encode(value)
+    inner = pad + "  "
+    items = ",\n".join(
+        f"{inner}{encode_basestring_ascii(k)}: {_json_value(v, inner)}" for k, v in value.items()
+    )
+    return f"{{\n{items}\n{pad}}}"
+
+
 def rows_to_json_bytes(rows: list[dict]) -> bytes:
-    return render_json(report_envelope("rows", rows))
+    """Exactly render_json(report_envelope("rows", rows)), rendered one row at
+    a time and encoded as it is written, so neither the encoder's chunk list
+    nor a full-size str is ever held.  Every row has row_to_dict's keys."""
+    buf = io.BytesIO()
+    out = io.TextIOWrapper(buf, encoding="utf-8", newline="")
+    out.write(_ROWS_HEAD)
+    if rows:
+        keys = tuple(rows[0])
+        pad = "      "
+        fields = (f"{pad}{encode_basestring_ascii(k)}: %s" for k in keys)
+        template = "    {\n" + ",\n".join(fields) + "\n    }"
+        sep = "[\n"
+        for row in rows:
+            if tuple(row) != keys:
+                raise InternalInvariantError(f"scan row keys {tuple(row)} differ from {keys}")
+            out.write(sep)
+            out.write(template % tuple([_json_value(v, pad) for v in row.values()]))
+            sep = ",\n"
+        out.write("\n  ]")
+    else:
+        out.write("[]")
+    out.write(_ROWS_TAIL)
+    out.flush()
+    return buf.getvalue()
 
 
 def atomic_write(path: str, data: bytes) -> None:
@@ -332,8 +385,9 @@ def run_cross_validate(spec: ScanSpec) -> dict:
     """Check constructive routes against the exhaustive oracle on the grid.
 
     At every point where a constructive route applies, its witness must
-    verify and the oracle must find some witness.  Raises
-    OracleDisagreementError at the first failure.
+    verify and the oracle must find some witness; where no route applies,
+    the oracle must find none.  Raises OracleDisagreementError at the first
+    failure.
     """
     points = 0
     prime_checked = 0
@@ -365,6 +419,11 @@ def run_cross_validate(spec: ScanSpec) -> dict:
                     f"oracle found no witness at n={params.n}, p={params.p}, r={params.r}"
                 )
             agreements += 1
+        elif brute_force_witness(params) is not None:
+            raise OracleDisagreementError(
+                f"oracle found a witness where no route applies at "
+                f"n={params.n}, p={params.p}, r={params.r}"
+            )
     return {
         "points": points,
         "prime_construction_checked": prime_checked,

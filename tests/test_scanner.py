@@ -3,12 +3,15 @@ import io
 import json
 import os
 from operator import attrgetter, itemgetter
+from pathlib import Path
 
 import pytest
 
 from hodgecert import (
     CSV_COLUMNS,
+    InternalInvariantError,
     NotPrimeError,
+    OracleDisagreementError,
     ParameterError,
     ScanSpec,
     atomic_write,
@@ -16,11 +19,15 @@ from hodgecert import (
     certify_single,
     compute_row,
     rows_to_csv_bytes,
+    rows_to_json_bytes,
     run_cross_validate,
     run_remark_check,
     run_scan,
     validate,
 )
+from hodgecert.scanner import render_json, report_envelope
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def parse_csv(payload: bytes) -> tuple[str, list[str], list[dict]]:
@@ -131,6 +138,34 @@ class TestSerialization:
         assert run_scan(spec_json)[1] == run_scan(spec_json)[1]
         assert run_scan(spec_csv)[1] == run_scan(spec_csv)[1]
 
+    def test_golden_scans(self):
+        # n 4..40, p in {2, 3, 5}, r <= 3: 216 rows, all seven constructive
+        # branches and all three verdicts
+        _rows, payload = run_scan(ScanSpec(4, 40, (2, 3, 5), 3), method="both")
+        assert payload == (GOLDEN / "scan_4_40_p2-3-5_r3.json").read_bytes()
+        spec = ScanSpec(4, 40, (2, 3, 5), 3, format="csv")
+        _rows, payload = run_scan(spec, method="constructive")
+        assert payload == (GOLDEN / "scan_4_40_p2-3-5_r3.csv").read_bytes()
+
+    @pytest.mark.parametrize("method", ["constructive", "brute", "both"])
+    def test_json_rows_match_json_dumps(self, method):
+        # q = 2 rows have all-null ledgers; brute rows have a null witness_constructive
+        rows = build_rows(ScanSpec(4, 300, (2, 3, 5, 7), 4), method)
+        assert rows_to_json_bytes(rows) == render_json(report_envelope("rows", rows))
+
+    def test_json_edge_rows_match_json_dumps(self):
+        empty = build_rows(ScanSpec(5, 5, (5,), 1))
+        assert b'"rows": []' in rows_to_json_bytes(empty)
+        wide = [compute_row(validate(847288609445, 3, 25), "constructive")]
+        for rows in (empty, wide):
+            assert rows_to_json_bytes(rows) == render_json(report_envelope("rows", rows))
+
+    def test_json_rows_must_share_keys(self):
+        rows = build_rows(ScanSpec(5, 7, (3,), 1))
+        rows[1] = dict(reversed(list(rows[1].items())))
+        with pytest.raises(InternalInvariantError):
+            rows_to_json_bytes(rows)
+
     def test_json_envelope(self):
         _rows, payload = run_scan(ScanSpec(5, 7, (3,), 1))
         doc = json.loads(payload)
@@ -240,3 +275,15 @@ class TestCrossValidate:
         assert report["general_construction_checked"] > 0
         assert 0 < report["oracle_agreements"] <= report["points"]
         assert report["disagreements"] == 0
+
+    def test_oracle_witness_where_no_route_applies(self, monkeypatch):
+        import hodgecert.scanner
+        from hodgecert.witness import Branch, Witness
+
+        # (19, 3, 2): n = 2q + 1, so no route applies and no witness exists
+        def forged(params):
+            return Witness(i=1, floor_value=2, branch=Branch.BRUTE_FORCE)
+
+        monkeypatch.setattr(hodgecert.scanner, "brute_force_witness", forged)
+        with pytest.raises(OracleDisagreementError, match="no route applies"):
+            run_cross_validate(ScanSpec(19, 19, (3,), 2))
