@@ -91,18 +91,11 @@ def greedy_compatible_subset(system: EigenSystem) -> tuple[Hashable, ...]:
     if len(set(n_vals)) != len(n_vals):
         raise DuplicateMultiplicityError("repeated n_val; the subset bound needs them distinct")
 
+    # One pass is maximal: chosen only grows, so a pair rejected once stays rejected.
     chosen: list[EigenPair] = []
-    taken: set[Hashable] = set()
-    changed = True
-    while changed:
-        changed = False
-        for pr in system.pairs:
-            if pr.label in taken:
-                continue
-            if all(pr.n_val != x.m_val and pr.m_val != x.n_val for x in chosen):
-                chosen.append(pr)
-                taken.add(pr.label)
-                changed = True
+    for pr in system.pairs:
+        if all(pr.n_val != x.m_val and pr.m_val != x.n_val for x in chosen):
+            chosen.append(pr)
 
     # Quadratic post-check of the defining condition, including self-pairs.
     for x in chosen:

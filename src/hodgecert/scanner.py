@@ -11,6 +11,7 @@ import io
 import json
 import os
 import tempfile
+from collections import namedtuple
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
 
@@ -63,6 +64,9 @@ CSV_COLUMNS = (
     "dim_center",
     "dim_semisimple",
 )
+
+# One scan row: its fields are the CSV columns, in report order.
+ScanRow = namedtuple("ScanRow", CSV_COLUMNS)
 
 
 @dataclass(frozen=True)
@@ -153,40 +157,34 @@ def product_to_dict(cert: ProductCertificate) -> dict:
     }
 
 
-class _Row:
-    """Attribute bag whose vars() is one scan row.  Instance dicts of one class
-    share a single key table (PEP 412): 296 bytes a row on CPython 3.11, where
-    a dict literal takes 464.  A scan holds all its rows, so this matters."""
-
-
 def row_to_dict(
     params: CurveParams,
     conds: ConditionStatus,
     cert: HodgeCertificate | None,
     constructive: Witness | None,
     brute: Witness | None,
-) -> dict:
-    """One scan row, keys in report field order; cert is None at q = 2."""
-    row = _Row()
-    row.n = params.n
-    row.p = params.p
-    row.r = params.r
-    row.q = params.q
-    row.holds_A = conds.holds_A
-    row.holds_B = conds.holds_B
-    row.holds_C = conds.holds_C
-    row.witness_constructive = (
-        None
-        if constructive is None
-        else {"i": constructive.i, "branch": constructive.branch.value}
+) -> ScanRow:
+    """One scan row.  Returns a ScanRow, not a dict, despite the name, which
+    perfbench's tracer rebinds; cert is None at q = 2."""
+    if cert is None:
+        verdict, dims = Verdict.OUT_OF_SCOPE.value, (None,) * 4
+    else:
+        verdict = cert.verdict.value
+        dims = (cert.dim_abelian_variety, cert.dim_unitary, cert.dim_center, cert.dim_semisimple)
+    return ScanRow(
+        params.n,
+        params.p,
+        params.r,
+        params.q,
+        conds.holds_A,
+        conds.holds_B,
+        conds.holds_C,
+        None if constructive is None else constructive.i,
+        None if constructive is None else constructive.branch.value,
+        None if brute is None else brute.i,
+        verdict,
+        *dims,
     )
-    row.witness_bruteforce = None if brute is None else brute.i
-    row.verdict = Verdict.OUT_OF_SCOPE.value if cert is None else cert.verdict.value
-    row.dim_abelian_variety = None if cert is None else cert.dim_abelian_variety
-    row.dim_unitary = None if cert is None else cert.dim_unitary
-    row.dim_center = None if cert is None else cert.dim_center
-    row.dim_semisimple = None if cert is None else cert.dim_semisimple
-    return vars(row)
 
 
 def render_json(payload: dict) -> bytes:
@@ -207,7 +205,7 @@ def _csv_cell(value) -> str:
     return str(value)
 
 
-def rows_to_csv_bytes(rows: list[dict]) -> bytes:
+def rows_to_csv_bytes(rows: list[ScanRow]) -> bytes:
     # Encode as the text is written, so no full-size str copy is ever held.
     buf = io.BytesIO()
     out = io.TextIOWrapper(buf, encoding="utf-8", newline="")
@@ -215,13 +213,7 @@ def rows_to_csv_bytes(rows: list[dict]) -> bytes:
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(CSV_COLUMNS)
     for row in rows:
-        cells = []
-        for key, value in row.items():
-            if key == "witness_constructive":
-                cells += (None, None) if value is None else (value["i"], value["branch"])
-            else:
-                cells.append(value)
-        writer.writerow([_csv_cell(v) for v in cells])
+        writer.writerow([_csv_cell(v) for v in row])
     out.flush()
     return buf.getvalue()
 
@@ -242,37 +234,37 @@ _ROWS_HEAD, _, _ROWS_TAIL = (
 )
 
 
-def _json_value(value, pad: str) -> str:
-    """A scan-row value (a scalar, or the witness_constructive dict) as
-    json.dumps(indent=2) writes it when its key sits at indent pad."""
-    encode = _JSON_SCALARS.get(type(value))
-    if encode is not None:
-        return encode(value)
-    inner = pad + "  "
-    items = ",\n".join(
-        f"{inner}{encode_basestring_ascii(k)}: {_json_value(v, inner)}" for k, v in value.items()
-    )
-    return f"{{\n{items}\n{pad}}}"
+def _json_fields(keys, pad: str) -> str:
+    """The object json.dumps(indent=2) writes at indent pad, one %s per key."""
+    fields = ",\n".join(f"{pad}  {encode_basestring_ascii(k)}: %s" for k in keys)
+    return f"{{\n{fields}\n{pad}}}"
 
 
-def rows_to_json_bytes(rows: list[dict]) -> bytes:
-    """Exactly render_json(report_envelope("rows", rows)), rendered one row at
-    a time and encoded as it is written, so neither the encoder's chunk list
-    nor a full-size str is ever held.  Every row has row_to_dict's keys."""
+# In JSON, columns 7-8 nest as witness_constructive {"i", "branch"} (null
+# when there is no witness) and column 9 drops its "_i".
+_WITNESS_KEY = CSV_COLUMNS[7].rpartition("_")[0]
+_WITNESS_TEMPLATE = _json_fields([c.rpartition("_")[2] for c in CSV_COLUMNS[7:9]], "      ")
+_ROW_TEMPLATE = "    " + _json_fields(
+    (*CSV_COLUMNS[:7], _WITNESS_KEY, CSV_COLUMNS[9].rpartition("_")[0], *CSV_COLUMNS[10:]),
+    "    ",
+)
+
+
+def rows_to_json_bytes(rows: list[ScanRow]) -> bytes:
+    """Exactly render_json(report_envelope("rows", ...)) of the rows as JSON
+    objects (witness columns nested as above), rendered one row at a time and
+    encoded as it is written, so neither the encoder's chunk list nor a
+    full-size str is ever held."""
     buf = io.BytesIO()
     out = io.TextIOWrapper(buf, encoding="utf-8", newline="")
     out.write(_ROWS_HEAD)
     if rows:
-        keys = tuple(rows[0])
-        pad = "      "
-        fields = (f"{pad}{encode_basestring_ascii(k)}: %s" for k in keys)
-        template = "    {\n" + ",\n".join(fields) + "\n    }"
         sep = "[\n"
         for row in rows:
-            if tuple(row) != keys:
-                raise InternalInvariantError(f"scan row keys {tuple(row)} differ from {keys}")
+            cells = [_JSON_SCALARS[type(v)](v) for v in row]
+            cells[7:9] = ["null" if row[7] is None else _WITNESS_TEMPLATE % (cells[7], cells[8])]
             out.write(sep)
-            out.write(template % tuple([_json_value(v, pad) for v in row.values()]))
+            out.write(_ROW_TEMPLATE % tuple(cells))
             sep = ",\n"
         out.write("\n  ]")
     else:
@@ -313,11 +305,15 @@ def _grid(spec: ScanSpec):
                 yield validate(n, p, r)
 
 
-def compute_row(params: CurveParams, method: str = "both") -> dict:
-    """One scan row; every emitted witness is re-verified first.  The one
-    constructive witness feeds the certificate; method picks the columns."""
+def _check_method(method: str) -> None:
     if method not in METHODS:
         raise ParameterError(f"unknown method {method!r}")
+
+
+def compute_row(params: CurveParams, method: str = "both") -> ScanRow:
+    """One scan row; every emitted witness is re-verified first.  The one
+    constructive witness feeds the certificate; method picks the columns."""
+    _check_method(method)
     conds = classify(params)
     built = constructive_witness(params, conds)
 
@@ -334,11 +330,12 @@ def compute_row(params: CurveParams, method: str = "both") -> dict:
     return row_to_dict(params, conds, cert, None if method == "brute" else built, brute)
 
 
-def build_rows(spec: ScanSpec, method: str = "both") -> list[dict]:
+def build_rows(spec: ScanSpec, method: str = "both") -> list[ScanRow]:
+    _check_method(method)  # also on an empty grid
     return [compute_row(params, method) for params in _grid(spec)]
 
 
-def run_scan(spec: ScanSpec, method: str = "both") -> tuple[list[dict], bytes]:
+def run_scan(spec: ScanSpec, method: str = "both") -> tuple[list[ScanRow], bytes]:
     """Build all rows, render them, and write the report if a path is set.
 
     Identical specs always produce identical bytes.

@@ -143,6 +143,16 @@ def test_greedy_output_valid_and_large(system):
     assert 2 * len(chosen) >= len(system.pairs)
 
 
+@settings(max_examples=300)
+@given(random_system())
+def test_greedy_output_is_maximal(system):
+    # every pair left out conflicts with a chosen one, so no pair can be added
+    chosen = set(greedy_compatible_subset(system))
+    kept = [p for p in system.pairs if p.label in chosen]
+    for left_out in (p for p in system.pairs if p.label not in chosen):
+        assert any(not (pairs_valid(left_out, k) and pairs_valid(k, left_out)) for k in kept)
+
+
 @settings(max_examples=150, deadline=None)
 @given(random_system(max_size=12, max_d=30))
 def test_exhaustive_confirms_bound(system):

@@ -1,15 +1,15 @@
 import csv
+import hashlib
 import io
 import json
 import os
-from operator import attrgetter, itemgetter
+from operator import attrgetter
 from pathlib import Path
 
 import pytest
 
 from hodgecert import (
     CSV_COLUMNS,
-    InternalInvariantError,
     NotPrimeError,
     OracleDisagreementError,
     ParameterError,
@@ -28,6 +28,24 @@ from hodgecert import (
 from hodgecert.scanner import render_json, report_envelope
 
 GOLDEN = Path(__file__).parent / "golden"
+
+
+def as_json(row) -> dict:
+    """A scan row as the JSON report writes it, built from the row's own fields."""
+    doc = {}
+    for key, value in row._asdict().items():
+        if key == "witness_constructive_i":
+            branch = row.witness_constructive_branch
+            doc["witness_constructive"] = None if value is None else {"i": value, "branch": branch}
+        elif key == "witness_bruteforce_i":
+            doc["witness_bruteforce"] = value
+        elif key != "witness_constructive_branch":
+            doc[key] = value
+    return doc
+
+
+def json_reference(rows) -> bytes:
+    return render_json(report_envelope("rows", [as_json(r) for r in rows]))
 
 
 def parse_csv(payload: bytes) -> tuple[str, list[str], list[dict]]:
@@ -56,37 +74,46 @@ class TestRows:
         rows = build_rows(ScanSpec(5, 20, (3,), 2))
         # 11 degrees coprime to 3 in [5, 20], for each of r = 1, 2
         assert len(rows) == 22
-        keys = [(row["p"], row["r"], row["n"]) for row in rows]
+        keys = [(row.p, row.r, row.n) for row in rows]
         assert keys == sorted(keys)
 
     def test_witness_free_row(self):
         rows = build_rows(ScanSpec(19, 19, (3,), 2))
-        row = next(r for r in rows if r["r"] == 2)
-        assert row["witness_constructive"] is None
-        assert row["witness_bruteforce"] is None
-        assert row["verdict"] == "Inconclusive"
-        assert (row["dim_unitary"], row["dim_center"], row["dim_semisimple"]) == (972, 3, 969)
+        row = next(r for r in rows if r.r == 2)
+        assert row.witness_constructive_i is None
+        assert row.witness_constructive_branch is None
+        assert row.witness_bruteforce_i is None
+        assert row.verdict == "Inconclusive"
+        assert (row.dim_unitary, row.dim_center, row.dim_semisimple) == (972, 3, 969)
 
     def test_methods_restrict_columns(self):
         spec = ScanSpec(13, 13, (3,), 2)
         only_constructive = build_rows(spec, method="constructive")
         only_brute = build_rows(spec, method="brute")
-        assert all(r["witness_bruteforce"] is None for r in only_constructive)
-        assert all(r["witness_constructive"] is None for r in only_brute)
-        assert any(r["witness_constructive"] is not None for r in only_constructive)
-        assert any(r["witness_bruteforce"] is not None for r in only_brute)
+        assert all(r.witness_bruteforce_i is None for r in only_constructive)
+        assert all(r.witness_constructive_i is None for r in only_brute)
+        assert all(r.witness_constructive_branch is None for r in only_brute)
+        assert any(r.witness_constructive_i is not None for r in only_constructive)
+        assert any(r.witness_bruteforce_i is not None for r in only_brute)
 
     def test_unknown_method(self):
         with pytest.raises(ParameterError):
             build_rows(ScanSpec(5, 6, (3,), 1), method="guess")
+        # p = 5 divides every n in the range, so the grid is empty
+        empty = ScanSpec(5, 5, (5,), 1)
+        assert build_rows(empty) == []
+        with pytest.raises(ParameterError):
+            build_rows(empty, method="guess")
+        with pytest.raises(ParameterError):
+            run_scan(empty, method="guess")
 
     def test_hyperelliptic_rows_out_of_scope(self):
         rows = build_rows(ScanSpec(5, 9, (2,), 1))
-        assert [r["n"] for r in rows] == [5, 7, 9]
+        assert [r.n for r in rows] == [5, 7, 9]
         for row in rows:
-            assert row["verdict"] == "OutOfScope"
-            assert row["dim_abelian_variety"] is None
-            assert row["dim_unitary"] is None
+            assert row.verdict == "OutOfScope"
+            assert row.dim_abelian_variety is None
+            assert row.dim_unitary is None
 
 
 class TestRowMatchesCertificate:
@@ -101,8 +128,8 @@ class TestRowMatchesCertificate:
                         continue
                     params = validate(n, p, r)
                     row, cert = compute_row(params), certify_single(params)
-                    assert row["verdict"] == cert.verdict.value
-                    assert itemgetter(*fields)(row) == attrgetter(*fields)(cert)
+                    assert row.verdict == cert.verdict.value
+                    assert attrgetter(*fields)(row) == attrgetter(*fields)(cert)
 
     def test_one_construction_per_row(self, monkeypatch):
         import hodgecert.witness
@@ -151,20 +178,27 @@ class TestSerialization:
     def test_json_rows_match_json_dumps(self, method):
         # q = 2 rows have all-null ledgers; brute rows have a null witness_constructive
         rows = build_rows(ScanSpec(4, 300, (2, 3, 5, 7), 4), method)
-        assert rows_to_json_bytes(rows) == render_json(report_envelope("rows", rows))
+        assert rows_to_json_bytes(rows) == json_reference(rows)
 
     def test_json_edge_rows_match_json_dumps(self):
         empty = build_rows(ScanSpec(5, 5, (5,), 1))
         assert b'"rows": []' in rows_to_json_bytes(empty)
         wide = [compute_row(validate(847288609445, 3, 25), "constructive")]
         for rows in (empty, wide):
-            assert rows_to_json_bytes(rows) == render_json(report_envelope("rows", rows))
+            assert rows_to_json_bytes(rows) == json_reference(rows)
 
-    def test_json_rows_must_share_keys(self):
-        rows = build_rows(ScanSpec(5, 7, (3,), 1))
-        rows[1] = dict(reversed(list(rows[1].items())))
-        with pytest.raises(InternalInvariantError):
-            rows_to_json_bytes(rows)
+    def test_benchmark_grid_bytes(self):
+        # the benchmark's 33,848-row grid; hashes taken before rows were tuples
+        spec = ScanSpec(4, 3000, (2, 3, 5, 7), 4)
+        _rows, payload = run_scan(spec, method="both")
+        assert hashlib.sha256(payload).hexdigest() == (
+            "5ebe6aef9226e530ba107607982b03bb2296f8d6457783b802431e5fb7e940ca"
+        )
+        spec = ScanSpec(4, 3000, (2, 3, 5, 7), 4, format="csv")
+        _rows, payload = run_scan(spec, method="constructive")
+        assert hashlib.sha256(payload).hexdigest() == (
+            "8ad8e27d26a7e416a4f12d96a50df0a4133c0a895d3cc800753001a8d176f15b"
+        )
 
     def test_json_envelope(self):
         _rows, payload = run_scan(ScanSpec(5, 7, (3,), 1))
@@ -200,18 +234,8 @@ class TestSerialization:
 
     def test_row_dict_field_order(self):
         row = build_rows(ScanSpec(5, 5, (3,), 1))[0]
-        assert list(row)[:4] == ["n", "p", "r", "q"]
-
-    def test_csv_columns_follow_row_keys(self):
-        keys = []
-        for key in compute_row(validate(31, 3, 2)):
-            if key == "witness_constructive":
-                keys += ["witness_constructive_i", "witness_constructive_branch"]
-            elif key == "witness_bruteforce":
-                keys.append("witness_bruteforce_i")
-            else:
-                keys.append(key)
-        assert tuple(keys) == CSV_COLUMNS
+        assert row._fields == CSV_COLUMNS
+        assert row[:4] == (5, 3, 1, 3)
 
 
 class TestAtomicWrite:
