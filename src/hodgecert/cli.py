@@ -37,103 +37,72 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _parse_primes(text: str) -> tuple[int, ...]:
+def _primes(text: str) -> tuple[int, ...]:
+    """The argparse type of --primes: a non-empty comma-separated list of integers."""
     try:
-        primes = tuple(int(part) for part in text.split(",") if part.strip() != "")
-    except ValueError as exc:
-        raise ParameterError(f"bad --primes value {text!r}") from exc
+        primes = tuple(int(part) for part in text.split(",") if part.strip())
+    except ValueError:
+        primes = ()
     if not primes:
-        raise ParameterError(f"bad --primes value {text!r}")
+        raise argparse.ArgumentTypeError(f"not a comma-separated list of integers: {text!r}")
     return primes
 
 
-def _emit(payload: bytes, out: str | None) -> None:
-    if out is None:
-        sys.stdout.buffer.write(payload)
-        sys.stdout.buffer.flush()
-    else:
-        atomic_write(out, payload)
-
-
-def _add_point_args(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--n", type=int, required=True, help="degree of f")
-    sub.add_argument("--p", type=int, required=True, help="prime p")
-    sub.add_argument("--r", type=int, required=True, help="exponent r, q = p^r")
-
-
-def _add_grid_args(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--n-min", type=int, required=True, help="smallest degree")
-    sub.add_argument("--n-max", type=int, required=True, help="largest degree")
-    sub.add_argument("--primes", type=str, required=True, help="comma-separated primes")
-    sub.add_argument("--r-max", type=int, required=True, help="largest exponent r")
+_POINT = (("--n", int, "degree of f"), ("--p", int, "prime p"), ("--r", int, "exponent r, q = p^r"))
+_GRID = (
+    ("--n-min", int, "smallest degree"),
+    ("--n-max", int, "largest degree"),
+    ("--primes", _primes, "comma-separated primes"),
+    ("--r-max", int, "largest exponent r"),
+)
 
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="hodgecert", description=__doc__)
     subs = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
-    cert = subs.add_parser("certify", help="certify a single parameter point")
-    _add_point_args(cert)
-    cert.add_argument("--product", action="store_true", help="certify all levels up to r")
-    cert.add_argument("--out", type=str, default=None, help="write the report here")
-    cert.set_defaults(func=cmd_certify)
+    def command(name: str, func, text: str, required: tuple) -> _Parser:
+        """A subcommand with its required (flag, type, help) options and --out."""
+        sub = subs.add_parser(name, help=text)
+        for flag, kind, flag_help in required:
+            sub.add_argument(flag, type=kind, required=True, help=flag_help)
+        sub.add_argument("--out", help="write the report here, atomically, instead of stdout")
+        sub.set_defaults(func=func)
+        return sub
 
-    scan = subs.add_parser("scan", help="scan a parameter grid")
-    _add_grid_args(scan)
+    cert = command("certify", cmd_certify, "certify a single parameter point", _POINT)
+    cert.add_argument("--product", action="store_true", help="certify all levels up to r")
+    scan = command("scan", cmd_scan, "scan a parameter grid", _GRID)
     scan.add_argument("--method", choices=METHODS, default="both")
     scan.add_argument("--format", choices=FORMATS, default="json")
-    scan.add_argument("--out", type=str, default=None, help="write the report here")
-    scan.set_defaults(func=cmd_scan)
-
-    wit = subs.add_parser("witness", help="compute witnesses for one parameter point")
-    _add_point_args(wit)
+    wit = command("witness", cmd_witness, "compute witnesses for one parameter point", _POINT)
     wit.add_argument("--method", choices=METHODS, default="both")
-    wit.add_argument("--out", type=str, default=None, help="write the report here")
-    wit.set_defaults(func=cmd_witness)
-
-    rem = subs.add_parser("remark-check", help="verify the q = 4 precondition pattern")
-    rem.add_argument("--n-max", type=int, required=True, help="check odd n up to this bound")
-    rem.add_argument("--out", type=str, default=None, help="write the report here")
-    rem.set_defaults(func=cmd_remark_check)
-
-    cross = subs.add_parser(
-        "cross-validate", help="check constructive witnesses against the oracle"
-    )
-    _add_grid_args(cross)
-    cross.add_argument("--out", type=str, default=None, help="write the report here")
-    cross.set_defaults(func=cmd_cross_validate)
-
+    remark = (("--n-max", int, "check odd n up to this bound"),)
+    command("remark-check", cmd_remark_check, "verify the q = 4 precondition pattern", remark)
+    cross = "check constructive witnesses against the oracle"
+    command("cross-validate", cmd_cross_validate, cross, _GRID)
     return parser
 
 
-def cmd_certify(args: argparse.Namespace) -> int:
+def _spec(args: argparse.Namespace, **extra) -> ScanSpec:
+    return ScanSpec(args.n_min, args.n_max, args.primes, args.r_max, **extra)
+
+
+def cmd_certify(args: argparse.Namespace) -> bytes:
     params = validate(args.n, args.p, args.r)
     if args.product:
-        payload = render_json(
-            report_envelope("product_certificate", product_to_dict(certify_product(params)))
-        )
+        key, body = "product_certificate", product_to_dict(certify_product(params))
     else:
-        payload = render_json(
-            report_envelope("certificate", certificate_to_dict(certify_single(params)))
-        )
-    _emit(payload, args.out)
-    return 0
+        key, body = "certificate", certificate_to_dict(certify_single(params))
+    return render_json(report_envelope(key, body))
 
 
-def cmd_scan(args: argparse.Namespace) -> int:
-    spec = ScanSpec(
-        n_min=args.n_min,
-        n_max=args.n_max,
-        primes=_parse_primes(args.primes),
-        r_max=args.r_max,
-        format=args.format,
-    )
-    _rows, payload = run_scan(spec, method=args.method)
-    _emit(payload, args.out)
-    return 0
+def cmd_scan(args: argparse.Namespace) -> bytes:
+    _rows, payload = run_scan(_spec(args, format=args.format), method=args.method)
+    return payload
 
 
-def cmd_witness(args: argparse.Namespace) -> int:
+def cmd_witness(args: argparse.Namespace) -> bytes:
     params = validate(args.n, args.p, args.r)
     conds = classify(params)
     constructive = constructive_witness(params, conds) if args.method != "brute" else None
@@ -148,26 +117,15 @@ def cmd_witness(args: argparse.Namespace) -> int:
         "constructive": None if constructive is None else witness_to_dict(constructive),
         "brute_force": None if brute is None else witness_to_dict(brute),
     }
-    _emit(render_json(report_envelope("witness_report", body)), args.out)
-    return 0
+    return render_json(report_envelope("witness_report", body))
 
 
-def cmd_remark_check(args: argparse.Namespace) -> int:
-    report = run_remark_check(args.n_max)
-    _emit(render_json(report_envelope("remark_check", report)), args.out)
-    return 0
+def cmd_remark_check(args: argparse.Namespace) -> bytes:
+    return render_json(report_envelope("remark_check", run_remark_check(args.n_max)))
 
 
-def cmd_cross_validate(args: argparse.Namespace) -> int:
-    spec = ScanSpec(
-        n_min=args.n_min,
-        n_max=args.n_max,
-        primes=_parse_primes(args.primes),
-        r_max=args.r_max,
-    )
-    report = run_cross_validate(spec)
-    _emit(render_json(report_envelope("cross_validation", report)), args.out)
-    return 0
+def cmd_cross_validate(args: argparse.Namespace) -> bytes:
+    return render_json(report_envelope("cross_validation", run_cross_validate(_spec(args))))
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -177,7 +135,14 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 0
     try:
-        return args.func(args)
+        report = args.func(args)
+        # The one place a report is written: stdout, or the --out file atomically.
+        if args.out is None:
+            sys.stdout.buffer.write(report)
+            sys.stdout.buffer.flush()
+        else:
+            atomic_write(args.out, report)
+        return 0
     except ParameterError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

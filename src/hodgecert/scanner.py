@@ -17,9 +17,9 @@ from json.encoder import encode_basestring_ascii
 
 from ._version import __version__
 from .errors import (
+    BoundExceededError,
     EquivalenceFailedError,
     ExponentTooSmallError,
-    InternalInvariantError,
     NotPrimeError,
     OracleDisagreementError,
     ParameterError,
@@ -33,6 +33,7 @@ from .hodge_report import (
 )
 from .params import MAX_SUPPORTED, ConditionStatus, CurveParams, classify, is_prime, validate
 from .witness import (
+    MAX_ORACLE_Q,
     Witness,
     brute_force_witness,
     constructive_witness,
@@ -293,16 +294,34 @@ def atomic_write(path: str, data: bytes) -> None:
 # ---------- row building ----------
 
 
-def _grid(spec: ScanSpec):
-    """Yield validated params in sorted (p, r, n) order, skipping invalid points."""
+def _levels(spec: ScanSpec):
+    """Yield the grid's (p, r) in sorted order, up to q = p^r <= MAX_SUPPORTED."""
     for p in sorted(set(spec.primes)):
         for r in range(1, spec.r_max + 1):
             if p**r > MAX_SUPPORTED:
                 break
-            for n in range(max(spec.n_min, 4), spec.n_max + 1):
-                if n % p == 0:
-                    continue
-                yield validate(n, p, r)
+            yield p, r
+
+
+def _grid(spec: ScanSpec):
+    """Yield validated params in sorted (p, r, n) order, skipping invalid points."""
+    for p, r in _levels(spec):
+        for n in range(max(spec.n_min, 4), spec.n_max + 1):
+            if n % p == 0:
+                continue
+            yield validate(n, p, r)
+
+
+def _check_oracle_bound(spec: ScanSpec, remedy: str) -> None:
+    """Refuse, before any work, a grid with a point where brute_force_witness
+    would raise BoundExceededError, i.e. one at q > MAX_ORACLE_Q."""
+    low = max(spec.n_min, 4)
+    for p, r in _levels(spec):
+        # Of two consecutive degrees at most one is a multiple of p.
+        if p**r > MAX_ORACLE_Q and any(n % p for n in range(low, min(low + 1, spec.n_max) + 1)):
+            raise BoundExceededError(
+                f"q = {p}^{r} = {p**r} exceeds the exhaustive oracle bound {MAX_ORACLE_Q}; {remedy}"
+            )
 
 
 def _check_method(method: str) -> None:
@@ -311,20 +330,12 @@ def _check_method(method: str) -> None:
 
 
 def compute_row(params: CurveParams, method: str = "both") -> ScanRow:
-    """One scan row; every emitted witness is re-verified first.  The one
+    """One scan row; both witness routes verify what they return.  The one
     constructive witness feeds the certificate; method picks the columns."""
     _check_method(method)
     conds = classify(params)
     built = constructive_witness(params, conds)
-
-    brute = None
-    if method in ("brute", "both"):
-        brute = brute_force_witness(params)
-        if brute is not None and not verify_witness(params, brute):
-            raise InternalInvariantError(
-                f"oracle witness failed verification at n={params.n}, q={params.q}"
-            )
-
+    brute = brute_force_witness(params) if method in ("brute", "both") else None
     # No certification at q = 2: the dimension ledger is undefined there.
     cert = None if params.q == 2 else certificate_from_witness(params, conds, built)
     return row_to_dict(params, conds, cert, None if method == "brute" else built, brute)
@@ -332,6 +343,8 @@ def compute_row(params: CurveParams, method: str = "both") -> ScanRow:
 
 def build_rows(spec: ScanSpec, method: str = "both") -> list[ScanRow]:
     _check_method(method)  # also on an empty grid
+    if method != "constructive":
+        _check_oracle_bound(spec, "scan skips the oracle with --method constructive")
     return [compute_row(params, method) for params in _grid(spec)]
 
 
@@ -386,45 +399,32 @@ def run_cross_validate(spec: ScanSpec) -> dict:
     the oracle must find none.  Raises OracleDisagreementError at the first
     failure.
     """
-    points = 0
-    prime_checked = 0
-    general_checked = 0
-    agreements = 0
-    for params in _grid(spec):
-        points += 1
-        conds = classify(params)
-        any_checked = False
-        if conds.witness_prime_applicable:
-            w = constructive_witness_prime(params)
-            if not verify_witness(params, w):
-                raise OracleDisagreementError(
-                    f"odd-prime construction invalid at n={params.n}, p={params.p}, r={params.r}"
-                )
-            prime_checked += 1
-            any_checked = True
-        if conds.witness_q_applicable:
-            w = constructive_witness_q(params)
-            if not verify_witness(params, w):
-                raise OracleDisagreementError(
-                    f"general construction invalid at n={params.n}, p={params.p}, r={params.r}"
-                )
-            general_checked += 1
-            any_checked = True
-        if any_checked:
-            if brute_force_witness(params) is None:
-                raise OracleDisagreementError(
-                    f"oracle found no witness at n={params.n}, p={params.p}, r={params.r}"
-                )
-            agreements += 1
-        elif brute_force_witness(params) is not None:
-            raise OracleDisagreementError(
-                f"oracle found a witness where no route applies at "
-                f"n={params.n}, p={params.p}, r={params.r}"
-            )
-    return {
-        "points": points,
-        "prime_construction_checked": prime_checked,
-        "general_construction_checked": general_checked,
-        "oracle_agreements": agreements,
+    _check_oracle_bound(spec, "cross-validate runs the oracle at every point: lower --r-max")
+    report = {
+        "points": 0,
+        "prime_construction_checked": 0,
+        "general_construction_checked": 0,
+        "oracle_agreements": 0,
         "disagreements": 0,
     }
+    for params in _grid(spec):
+        report["points"] += 1
+        conds = classify(params)
+        where = f"n={params.n}, p={params.p}, r={params.r}"
+        for applies, build, route, key in (
+            (conds.witness_prime_applicable, constructive_witness_prime, "odd-prime", "prime"),
+            (conds.witness_q_applicable, constructive_witness_q, "general", "general"),
+        ):
+            if applies:
+                if not verify_witness(params, build(params)):
+                    raise OracleDisagreementError(f"{route} construction invalid at {where}")
+                report[f"{key}_construction_checked"] += 1
+        routed = conds.witness_prime_applicable or conds.witness_q_applicable
+        if (brute_force_witness(params) is not None) != routed:
+            raise OracleDisagreementError(
+                f"oracle found no witness at {where}"
+                if routed
+                else f"oracle found a witness where no route applies at {where}"
+            )
+        report["oracle_agreements"] += routed
+    return report

@@ -122,10 +122,11 @@ def floor_correction_vanishes(trace: DerivationTrace, i: int, params: CurveParam
 
 
 def brute_force_witness(params: CurveParams) -> Witness | None:
-    """Smallest admissible i found by scanning 1..q-1, or None.
+    """Smallest admissible i found by scanning 1..q-1, verified, or None.
 
     Serves as the independent oracle for the constructive routines.  Refuses
-    q > MAX_ORACLE_Q up front, since the scan is linear in q.
+    q > MAX_ORACLE_Q up front, since the scan is linear in q.  A found witness
+    that fails verify_witness is a bug (InternalInvariantError).
     """
     n, p, q = params.n, params.p, params.q
     if q > MAX_ORACLE_Q:
@@ -140,7 +141,10 @@ def brute_force_witness(params: CurveParams) -> Witness | None:
             continue
         fv = n * i // q
         if gcd(fv, n1) == 1:
-            return Witness(i=i, floor_value=fv, branch=Branch.BRUTE_FORCE)
+            w = Witness(i=i, floor_value=fv, branch=Branch.BRUTE_FORCE)
+            if not verify_witness(params, w):
+                raise InternalInvariantError(f"oracle witness failed verification at n={n}, q={q}")
+            return w
     return None
 
 

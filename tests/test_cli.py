@@ -78,12 +78,12 @@ class TestUsageErrors:
 
 
 class TestInternalErrors:
-    @pytest.mark.parametrize("command", ["certify", "witness"])
+    @pytest.mark.parametrize("command", ["certify", "witness", "witness --method brute"])
     def test_unverified_witness_exits_2(self, command, capsys, monkeypatch):
         import hodgecert.witness
 
         monkeypatch.setattr(hodgecert.witness, "verify_witness", lambda params, w: False)
-        assert main([command, "--n", "5", "--p", "3", "--r", "1"]) == 2
+        assert main([*command.split(), "--n", "5", "--p", "3", "--r", "1"]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("internal invariant violation")
@@ -118,6 +118,24 @@ class TestOracleBound:
         doc = run_json(capsys, self.POINT + ["--method", "constructive"])
         assert time.monotonic() - start < 1.0
         assert doc["witness_report"]["constructive"] is None
+
+    # q = 2^25 at r = 25: the grid is refused before any smaller q is scanned
+    ORACLE_GRID = ["--n-min", "4", "--n-max", "60", "--primes", "2", "--r-max", "25"]
+
+    REMEDY = {"scan": "--method constructive", "cross-validate": "lower --r-max"}
+
+    @pytest.mark.parametrize("command", REMEDY)
+    def test_oracle_grid_exits_1_at_once(self, command, capsys):
+        start = time.monotonic()
+        assert main([command, *self.ORACLE_GRID]) == 1
+        assert time.monotonic() - start < 1.0
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert self.REMEDY[command] in captured.err
+
+    def test_constructive_grid_is_not_refused(self, capsys):
+        doc = run_json(capsys, ["scan", *self.ORACLE_GRID, "--method", "constructive"])
+        assert doc["rows"][-1]["q"] == 1 << 25
 
 
 class TestLargeInputs:
@@ -180,15 +198,34 @@ class TestWitness:
         assert body["brute_force"] is None
 
 
+GRID = ["--n-min", "5", "--n-max", "16", "--primes", "2,3", "--r-max", "2"]
+REPORTS = {
+    "certify": ["certify", "--n", "5", "--p", "3", "--r", "1"],
+    "certify-product": ["certify", "--n", "11", "--p", "3", "--r", "2", "--product"],
+    "witness": ["witness", "--n", "31", "--p", "3", "--r", "2"],
+    "scan": ["scan", *GRID],
+    "scan-csv": ["scan", *GRID, "--format", "csv"],
+    "remark-check": ["remark-check", "--n-max", "100"],
+    "cross-validate": ["cross-validate", *GRID],
+}
+
+
 class TestScan:
-    def test_stdout_matches_file(self, tmp_path, capsys):
-        argv = ["scan", "--n-min", "5", "--n-max", "16", "--primes", "2,3", "--r-max", "2"]
+    # every command writes its report through the same path, to stdout or --out
+    @pytest.mark.parametrize("argv", REPORTS.values(), ids=REPORTS.keys())
+    def test_stdout_matches_file(self, argv, tmp_path, capsysbinary):
         code = main(argv)
-        captured = capsys.readouterr()
-        assert code == 0
-        target = tmp_path / "report.json"
+        captured = capsysbinary.readouterr()
+        assert code == 0, captured.err
+        target = tmp_path / "report"
         assert main(argv + ["--out", str(target)]) == 0
-        assert target.read_text() == captured.out
+        assert capsysbinary.readouterr().out == b""
+        assert captured.out and target.read_bytes() == captured.out
+
+    @pytest.mark.parametrize("command", sorted({argv[0] for argv in REPORTS.values()}))
+    def test_help_lists_out(self, command, capsys):
+        assert main([command, "--help"]) == 0
+        assert "--out" in capsys.readouterr().out
 
     def test_csv_format(self, tmp_path):
         target = tmp_path / "report.csv"

@@ -10,6 +10,7 @@ import pytest
 
 from hodgecert import (
     CSV_COLUMNS,
+    BoundExceededError,
     NotPrimeError,
     OracleDisagreementError,
     ParameterError,
@@ -289,6 +290,22 @@ class TestRemarkCheck:
         }
 
 
+class TestOracleBound:
+    # p = 2, r_max = 25: the grid has a point at q = 2^25 unless every degree
+    # in the range is even or below 4
+    @pytest.mark.parametrize(
+        "n_min, n_max, refused", [(6, 6, False), (2, 3, False), (5, 5, True), (6, 7, True)]
+    )
+    def test_refuses_exactly_grids_above_the_bound(self, n_min, n_max, refused):
+        spec = ScanSpec(n_min, n_max, (2,), 25)
+        for check in (build_rows, run_cross_validate):
+            if refused:
+                with pytest.raises(BoundExceededError, match="exhaustive oracle bound"):
+                    check(spec)
+            else:
+                check(spec)
+
+
 class TestCrossValidate:
     def test_mixed_grid(self):
         # covers the shifted Bezout point (31, 3, 2) and the power-of-two
@@ -311,3 +328,23 @@ class TestCrossValidate:
         monkeypatch.setattr(hodgecert.scanner, "brute_force_witness", forged)
         with pytest.raises(OracleDisagreementError, match="no route applies"):
             run_cross_validate(ScanSpec(19, 19, (3,), 2))
+
+    @pytest.mark.parametrize(
+        "n, r, route",
+        # (5, 3, 1): both routes apply and the odd-prime one is checked first;
+        # (31, 3, 1): no route applies; (31, 3, 2): only the general one
+        [(5, 1, "odd-prime"), (31, 2, "general")],
+    )
+    def test_invalid_construction(self, n, r, route, monkeypatch):
+        import hodgecert.scanner
+
+        monkeypatch.setattr(hodgecert.scanner, "verify_witness", lambda params, w: False)
+        with pytest.raises(OracleDisagreementError, match=f"^{route} construction invalid"):
+            run_cross_validate(ScanSpec(n, n, (3,), r))
+
+    def test_oracle_finds_no_witness_where_a_route_applies(self, monkeypatch):
+        import hodgecert.scanner
+
+        monkeypatch.setattr(hodgecert.scanner, "brute_force_witness", lambda params: None)
+        with pytest.raises(OracleDisagreementError, match="oracle found no witness at n=5"):
+            run_cross_validate(ScanSpec(5, 5, (3,), 1))

@@ -1,5 +1,7 @@
 import math
 import time
+from collections import Counter
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -8,6 +10,7 @@ from hypothesis import strategies as st
 from hodgecert import (
     BoundExceededError,
     Branch,
+    CurveParams,
     ParameterError,
     PreconditionViolatedError,
     Witness,
@@ -266,6 +269,77 @@ class TestVerify:
             determinant_check=good.determinant_check,
         )
         assert not verify_witness(params, forged)
+
+    def test_rejects_each_forgery_on_grid(self):
+        hits = Counter()
+        for params in small_grid(max_q=64, max_n=130):
+            for check, w in forged_witnesses(params):
+                assert not verify_witness(params, w), (check, params, w)
+                hits[check] += 1
+        assert set(hits) == set(FORGERIES)
+
+    # Reachable only from params validate never builds: p | d with
+    # 1 <= d <= q - 2 forces p <= t < q when q is a power of p, and at
+    # p = 2, n = k*q - 1 with k odd no i passes the gcd(floor, n - 1) check.
+    @pytest.mark.parametrize(
+        "params, w",
+        [
+            (CurveParams(n=4, p=3, r=1, q=5), Witness(2, 1, Branch.BEZOUT_CANDIDATE_0)),
+            (CurveParams(n=8, p=2, r=1, q=3), Witness(1, 2, Branch.POWER2_SPECIAL)),
+        ],
+        ids=["Bezout with t < 2", "Power2Special at odd k"],
+    )
+    def test_rejects_forgery_beyond_validated_params(self, params, w):
+        assert not verify_witness(params, w)
+
+
+FORGERIES = (
+    "i shares p",
+    "floor value",
+    "unknown branch",
+    "MultiplierSearch range",
+    "MultiplierSearch multiplier",
+    "ModularInverse with p | d",
+    "Bezout with p coprime to d",
+    "Bezout candidate",
+    "Power2Special off q | n + 1",
+)
+
+
+def forged_witnesses(params):
+    """Yield (check, witness) forged to pass every check verify_witness makes
+    before the named one and to fail that one.  Two forgeries are valid by
+    design and left out: any verified witness relabelled BruteForce, and
+    MultiplierSearch at i = mu + 1."""
+    n, p, q = params.n, params.p, params.q
+    d = derivation_trace(params).d
+    oracle = brute_force_witness(params)
+    built = constructive_witness(params, classify(params))
+    if q > p:
+        yield "i shares p", Witness(p, n * p // q, Branch.BRUTE_FORCE)
+    if oracle is not None:  # then q does not divide n - 1, so d >= 1
+        yield "floor value", replace(oracle, floor_value=oracle.floor_value + 1)
+        yield "unknown branch", replace(oracle, branch=oracle.branch.value)
+        if p == 2 or 2 * n >= q:
+            yield "MultiplierSearch range", replace(oracle, branch=Branch.MULTIPLIER_SEARCH)
+        if d % p == 0:
+            yield "ModularInverse with p | d", replace(oracle, branch=Branch.MODULAR_INVERSE)
+        else:
+            yield "Bezout with p coprime to d", replace(oracle, branch=Branch.BEZOUT_CANDIDATE_0)
+        if p != 2 or q <= 2 or (n + 1) % q:
+            yield "Power2Special off q | n + 1", replace(oracle, branch=Branch.POWER2_SPECIAL)
+    if p != 2 and 2 * n < q:
+        mu = -(-q // n)
+        for i in range(mu + 2, q):
+            if i % p and math.gcd(n * i // q, n - 1) == 1:
+                yield "MultiplierSearch multiplier", Witness(i, n * i // q, Branch.MULTIPLIER_SEARCH)
+                break
+    swapped = {
+        Branch.BEZOUT_CANDIDATE_0: Branch.BEZOUT_CANDIDATE_1,
+        Branch.BEZOUT_CANDIDATE_1: Branch.BEZOUT_CANDIDATE_0,
+    }
+    if built is not None and built.branch in swapped:
+        yield "Bezout candidate", replace(built, branch=swapped[built.branch])
 
 
 # ---------- sweeps and properties ----------
