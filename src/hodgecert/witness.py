@@ -4,8 +4,9 @@ A witness for (n, p, q) is an integer i with 1 <= i <= q - 1, gcd(i, p) = 1,
 and gcd(floor(n*i/q), n - 1) = 1.  Such an i certifies that the semisimple
 part of the Hodge group of the new part is everything the Hermitian form
 allows.  Witnesses are produced two ways: constructively (case analysis on
-(n mod q), modular inverses, and shifted Bezout solutions) and by an
-exhaustive scan used as an independent oracle.
+(n mod q), then solutions of d*i - q*j = t with t = gcd(d, q), whose t = 1
+case is the modular inverse i = d^-1 mod q) and by an exhaustive scan used
+as an independent oracle.
 """
 
 import math
@@ -34,9 +35,9 @@ class Branch(Enum):
     CASE_A_I1 = "CaseA_i1"                  # q < n < 2q, take i = 1
     HALF_RANGE_I2 = "HalfRange_i2"          # p odd, q/2 < n < q, take i = 2
     MULTIPLIER_SEARCH = "MultiplierSearch"  # p odd, n < q/2, smallest multiplier
-    MODULAR_INVERSE = "ModularInverse"      # i = d^-1 mod q where d = (n mod q) - 1
-    BEZOUT_CANDIDATE_0 = "BezoutCandidate0"  # base Bezout solution
-    BEZOUT_CANDIDATE_1 = "BezoutCandidate1"  # Bezout solution shifted by q'
+    MODULAR_INVERSE = "ModularInverse"      # t = 1 Bezout solution: i = d^-1 mod q
+    BEZOUT_CANDIDATE_0 = "BezoutCandidate0"  # t > 1: base solution i = d'^-1 mod q'
+    BEZOUT_CANDIDATE_1 = "BezoutCandidate1"  # t > 1: base solution shifted by q'
     POWER2_SPECIAL = "Power2Special"        # p = 2 and q divides n + 1
     BRUTE_FORCE = "BruteForce"              # exhaustive oracle scan
 
@@ -148,26 +149,6 @@ def brute_force_witness(params: CurveParams) -> Witness | None:
     return None
 
 
-def _modular_inverse_witness(params: CurveParams, tr: DerivationTrace) -> Witness:
-    """Witness i = d^-1 mod q, valid whenever d >= 1 and p does not divide d."""
-    n, p, q = params.n, params.p, params.q
-    if tr.d < 1 or tr.d % p == 0:
-        raise PreconditionViolatedError(
-            f"inverse route needs d >= 1 and p coprime to d; got d = {tr.d}, p = {p}"
-        )
-    i = pow(tr.d, -1, q)
-    j = tr.c * i // q
-    det = i * tr.d - q * j
-    if det != 1:
-        raise InternalInvariantError(f"determinant i*d - q*j = {det} != 1 at n = {n}, q = {q}")
-    fv = floor_mult(n, i, q)
-    assert fv == tr.k * i + j  # floor(n*i/q) = k*i + floor(c*i/q)
-    assert math.gcd(i, p) == 1
-    if math.gcd(fv, n - 1) != 1:
-        raise InternalInvariantError(f"inverse witness not coprime at n = {n}, q = {q}")
-    return Witness(i=i, floor_value=fv, branch=Branch.MODULAR_INVERSE, determinant_check=1)
-
-
 def constructive_witness_prime(params: CurveParams) -> Witness:
     """Construct a witness via the odd-prime case analysis.
 
@@ -205,8 +186,8 @@ def constructive_witness_prime(params: CurveParams) -> Witness:
         assert fv == 1
         return Witness(i=i, floor_value=fv, branch=Branch.MULTIPLIER_SEARCH)
 
-    # Remaining range: n > 2q with p coprime to n - 1, hence p coprime to d.
-    return _modular_inverse_witness(params, derivation_trace(params))
+    # Remaining range: n > 2q with p coprime to n - 1, hence to d, so t = 1.
+    return _inverse_witness(params, derivation_trace(params))
 
 
 def _power_of_two_witness(params: CurveParams) -> Witness:
@@ -224,24 +205,32 @@ def _power_of_two_witness(params: CurveParams) -> Witness:
     return Witness(i=i, floor_value=fv, branch=Branch.POWER2_SPECIAL)
 
 
-def _bezout_witness(params: CurveParams, tr: DerivationTrace) -> Witness:
-    """p | d route: shifted Bezout candidates i and i + q'."""
+def _inverse_witness(params: CurveParams, tr: DerivationTrace) -> Witness:
+    """Solve d'*i - q'*j = 1, so d*i - q*j = t, from i0 = d'^-1 mod q'.
+
+    At t = 1 the base solution is i = d^-1 mod q (ModularInverse).  At t > 1,
+    i.e. p | d, the base solution and its shift by q' are tried in turn
+    (BezoutCandidate0/1).  Needs d >= 1, i.e. q does not divide n - 1.
+    """
     n, p, q = params.n, params.p, params.q
     t, dp, qp = tr.t, tr.d_prime, tr.q_prime
-    # Here t > 1 and q' > 1 are powers of p, and gcd(d', q') = 1.
-    assert t > 1 and qp > 1 and math.gcd(dp, qp) == 1
+    assert tr.d >= 1  # so t <= d < q: q' >= 2 is a power of p, coprime to d'
 
     i0 = pow(dp, -1, qp)  # unique solution with 0 < i0 <= q' - 1
     j0 = (dp * i0 - 1) // qp
     assert dp * i0 - qp * j0 == 1 and j0 >= 0
-    bez = BezoutData(d_prime=dp, q_prime=qp, j=j0)
 
-    if not floor_correction_vanishes(tr, i0, params):
-        raise InternalInvariantError(
-            f"floor correction did not vanish: t = {t}, i = {i0}, q' = {qp}, q = {q}"
-        )
+    if t == 1:
+        bez, candidates = None, ((0, Branch.MODULAR_INVERSE),)
+    else:
+        if not floor_correction_vanishes(tr, i0, params):
+            raise InternalInvariantError(
+                f"floor correction did not vanish: t = {t}, i = {i0}, q' = {qp}, q = {q}"
+            )
+        bez = BezoutData(d_prime=dp, q_prime=qp, j=j0)
+        candidates = ((0, Branch.BEZOUT_CANDIDATE_0), (1, Branch.BEZOUT_CANDIDATE_1))
 
-    for eps, branch in ((0, Branch.BEZOUT_CANDIDATE_0), (1, Branch.BEZOUT_CANDIDATE_1)):
+    for eps, branch in candidates:
         i = i0 + eps * qp
         j = j0 + eps * dp
         det = tr.d * i - q * j
@@ -249,16 +238,12 @@ def _bezout_witness(params: CurveParams, tr: DerivationTrace) -> Witness:
             raise InternalInvariantError(
                 f"determinant d*i - q*j = {det} != t = {t} at n = {n}, q = {q}, eps = {eps}"
             )
-        assert i % p != 0  # gcd(i0, q') = 1 and q' is a power of p
+        assert i % p != 0  # gcd(i0, q') = 1 and p | q'
         fv = floor_mult(n, i, q)
-        assert fv == tr.k * i + j  # correction term vanishes for both candidates
+        assert fv == tr.k * i + j  # floor(c*i/q) = j: the correction term vanishes
         if math.gcd(fv, n - 1) == 1:
-            return Witness(
-                i=i, floor_value=fv, branch=branch, bezout=bez, determinant_check=det
-            )
-    raise InternalContradictionError(
-        f"both Bezout candidates failed at n = {n}, p = {p}, q = {q}"
-    )
+            return Witness(i=i, floor_value=fv, branch=branch, bezout=bez, determinant_check=det)
+    raise InternalContradictionError(f"no inverse candidate passed at n = {n}, p = {p}, q = {q}")
 
 
 def constructive_witness_q(params: CurveParams) -> Witness:
@@ -275,12 +260,9 @@ def constructive_witness_q(params: CurveParams) -> Witness:
             f"p = 2 route needs q > 2 and n != q - 1 mod 2q; got n = {n}, q = {q}"
         )
 
-    tr = derivation_trace(params)
-    if tr.d % p != 0:
-        return _modular_inverse_witness(params, tr)
-    if p == 2 and (n + 1) % q == 0:
+    if p == 2 and (n + 1) % q == 0:  # then d = q - 2, so p | d
         return _power_of_two_witness(params)
-    return _bezout_witness(params, tr)
+    return _inverse_witness(params, derivation_trace(params))
 
 
 def _verify_branch(params: CurveParams, w: Witness) -> bool:
@@ -305,39 +287,31 @@ def _verify_branch(params: CurveParams, w: Witness) -> bool:
             return False
         return q < mu * n < (mu + 1) * n < 2 * q and w.floor_value == 1
 
-    tr = derivation_trace(params)
-
-    if br is Branch.MODULAR_INVERSE:
-        if tr.d < 1 or tr.d % p == 0:
+    inverse = br is Branch.MODULAR_INVERSE
+    if inverse or br is Branch.BEZOUT_CANDIDATE_0 or br is Branch.BEZOUT_CANDIDATE_1:
+        tr = derivation_trace(params)
+        t, dp, qp = tr.t, tr.d_prime, tr.q_prime
+        # ModularInverse at t = 1 with p coprime to d, a Bezout candidate at
+        # t > 1 with p | d (when q is a power of p, p | d exactly when t > 1).
+        if tr.d < 1 or inverse != (t == 1) or inverse != (tr.d % p != 0):
             return False
-        j = tr.c * w.i // q
-        return (
-            (w.i * tr.d) % q == 1
-            and w.i * tr.d - q * j == 1
-            and w.determinant_check == 1
-        )
-
-    if br in (Branch.BEZOUT_CANDIDATE_0, Branch.BEZOUT_CANDIDATE_1):
-        if tr.d < 1 or tr.d % p != 0:
+        eps = 1 if br is Branch.BEZOUT_CANDIDATE_1 else 0
+        i0 = w.i - eps * qp
+        if not (1 <= i0 <= qp - 1 and dp * i0 % qp == 1):
             return False
-        eps = 0 if br is Branch.BEZOUT_CANDIDATE_0 else 1
-        dp, qp, t = tr.d_prime, tr.q_prime, tr.t
-        if qp < 2 or t < 2:
-            return False
-        i0 = pow(dp, -1, qp)
         j0 = (dp * i0 - 1) // qp
-        if w.bezout != BezoutData(d_prime=dp, q_prime=qp, j=j0):
-            return False
-        if w.i != i0 + eps * qp:
+        if w.bezout != (None if t == 1 else BezoutData(d_prime=dp, q_prime=qp, j=j0)):
             return False
         det = tr.d * w.i - q * (j0 + eps * dp)
-        return det == t and w.determinant_check == t and floor_correction_vanishes(tr, i0, params)
+        return det == t == w.determinant_check and (
+            t == 1 or floor_correction_vanishes(tr, i0, params)
+        )
 
     if br is Branch.POWER2_SPECIAL:
         if p != 2 or q <= 2 or (n + 1) % q != 0:
             return False
         k = (n + 1) // q
-        if k % 2 != 0 or n % (2 * q) == q - 1:
+        if k % 2 != 0:  # odd k is n = q - 1 mod 2q: no witness there
             return False
         return w.i == q // 2 - 1 and w.floor_value == (q // 2 - 1) * k - 1
 

@@ -14,6 +14,7 @@ import time
 from pathlib import Path
 
 from hodgecert import (
+    BezoutData,
     Branch,
     CurveParams,
     EigenPair,
@@ -190,6 +191,7 @@ def test_criterion_6_determinant_identities_recomputed_across_grid():
                         assert (w.i * d) % q == 1
                         assert w.i * d - q * j == 1
                         assert w.floor_value == k * w.i + j
+                        assert w.bezout is None and w.determinant_check == 1
                         inverse_seen += 1
                     elif w.branch in (Branch.BEZOUT_CANDIDATE_0, Branch.BEZOUT_CANDIDATE_1):
                         t = math.gcd(d, q)
@@ -203,6 +205,8 @@ def test_criterion_6_determinant_identities_recomputed_across_grid():
                         assert w.i == i
                         assert d * i - q * j == t
                         assert w.floor_value == k * i + j
+                        assert w.bezout == BezoutData(dp, qp, j0)
+                        assert w.determinant_check == t
                         if eps == 0:
                             bezout0_seen += 1
                         else:

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import time
 from collections import Counter
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hodgecert import (
+    BezoutData,
     BoundExceededError,
     Branch,
     CurveParams,
@@ -15,6 +17,8 @@ from hodgecert import (
     PreconditionViolatedError,
     Witness,
     brute_force_witness,
+    certificate_to_dict,
+    certify_single,
     classify,
     constructive_witness,
     constructive_witness_prime,
@@ -22,8 +26,10 @@ from hodgecert import (
     derivation_trace,
     floor_correction_vanishes,
     floor_mult,
+    render_json,
     validate,
     verify_witness,
+    witness_to_dict,
 )
 from hodgecert.witness import MAX_ORACLE_Q
 from support import small_grid, valid_params
@@ -257,8 +263,6 @@ class TestVerify:
         assert not verify_witness(params, Witness(i=2, floor_value=3, branch=Branch.CASE_A_I1))
 
     def test_rejects_forged_bezout(self):
-        from hodgecert import BezoutData
-
         params = validate(31, 3, 2)
         good = constructive_witness_q(params)
         forged = Witness(
@@ -300,6 +304,7 @@ FORGERIES = (
     "MultiplierSearch range",
     "MultiplierSearch multiplier",
     "ModularInverse with p | d",
+    "ModularInverse with Bezout data",
     "Bezout with p coprime to d",
     "Bezout candidate",
     "Power2Special off q | n + 1",
@@ -340,6 +345,9 @@ def forged_witnesses(params):
     }
     if built is not None and built.branch in swapped:
         yield "Bezout candidate", replace(built, branch=swapped[built.branch])
+    if built is not None and built.branch is Branch.MODULAR_INVERSE:
+        j = (d * built.i - 1) // q  # the t = 1 solution of d*i - q*j = 1
+        yield "ModularInverse with Bezout data", replace(built, bezout=BezoutData(d, q, j))
 
 
 # ---------- sweeps and properties ----------
@@ -365,6 +373,20 @@ def test_soundness_small_grid():
             assert oracle is not None, params
             checked_q += 1
     assert checked_prime > 500 and checked_q > 500
+
+
+def test_witness_and_certificate_bytes_pinned_on_small_grid():
+    """Scan rows omit bezout and determinant_check; this pins every witness
+    field, and the certificate carrying it, at each small_grid point."""
+    digest = hashlib.sha256()
+    for params in small_grid():
+        w = constructive_witness(params, classify(params))
+        digest.update(render_json(None if w is None else witness_to_dict(w)))
+        if params.q > 2:
+            digest.update(render_json(certificate_to_dict(certify_single(params))))
+    assert digest.hexdigest() == (
+        "397df21143cee3db9439b46a7ba89a3683ba626235adc38dc3f6f5eaecb4e4d4"
+    )
 
 
 def test_no_witness_family_small():
