@@ -17,6 +17,7 @@ from .scanner import (
     ScanSpec,
     atomic_write,
     certificate_to_dict,
+    check_oracle_agreement,
     product_to_dict,
     render_json,
     report_envelope,
@@ -107,6 +108,8 @@ def cmd_witness(args: argparse.Namespace) -> bytes:
     conds = classify(params)
     constructive = constructive_witness(params, conds) if args.method != "brute" else None
     brute = brute_force_witness(params) if args.method in ("brute", "both") else None
+    if args.method == "both":
+        check_oracle_agreement(params, constructive is not None, brute)
     body = {
         "n": params.n,
         "p": params.p,

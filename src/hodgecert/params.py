@@ -112,6 +112,22 @@ def validate(n: int, p: int, r: int) -> CurveParams:
     return CurveParams(n=n, p=p, r=r, q=q)
 
 
+def prime_route_case(n: int, p: int, q: int) -> str | None:
+    """Where the odd-prime witness route applies: case "i" when q < n < 2q,
+    case "ii" when p is odd and p is coprime to n - 1 or n < 2q; else None."""
+    if q < n < 2 * q:
+        return "i"
+    if p != 2 and ((n - 1) % p != 0 or n < 2 * q):
+        return "ii"
+    return None
+
+
+def q_route_applies(n: int, p: int, q: int) -> bool:
+    """Where the general prime-power witness route applies: q does not divide
+    n - 1; for p = 2 also q > 2 and n is not q - 1 modulo 2q."""
+    return (n - 1) % q != 0 and (p != 2 or (q > 2 and n % (2 * q) != q - 1))
+
+
 def classify(params: CurveParams) -> ConditionStatus:
     """Evaluate every sufficiency condition literally, with no extrapolation."""
     n, p, q = params.n, params.p, params.q
@@ -121,19 +137,7 @@ def classify(params: CurveParams) -> ConditionStatus:
     holds_b = odd and n % q != 1
     holds_c = (not odd) and n % q != 1 and n % (2 * q) != q - 1
     n_gt_q = n > q
-
-    # Constructive witness, odd-prime route: either q < n < 2q, or p odd
-    # together with (p coprime to n-1, or n < 2q).
-    case: str | None = None
-    if holds_a:
-        case = "i"
-    elif odd and ((n - 1) % p != 0 or n < 2 * q):
-        case = "ii"
-
-    # Constructive witness, general prime-power route: q must not divide
-    # n - 1; for p = 2 additionally q > 2 and n not congruent to q - 1
-    # modulo 2q.
-    witness_q = (n - 1) % q != 0 and (odd or (q > 2 and n % (2 * q) != q - 1))
+    case = prime_route_case(n, p, q)
 
     return ConditionStatus(
         holds_A=holds_a,
@@ -142,7 +146,7 @@ def classify(params: CurveParams) -> ConditionStatus:
         n_gt_q=n_gt_q,
         witness_prime_applicable=case is not None,
         witness_prime_case=case,
-        witness_q_applicable=witness_q,
+        witness_q_applicable=q_route_applies(n, p, q),
         theorem_applicable=n_gt_q and (holds_a or holds_b or holds_c),
         product_applicable=odd and (n * (n - 1)) % p != 0,
     )

@@ -39,7 +39,6 @@ from .witness import (
     constructive_witness,
     constructive_witness_prime,
     constructive_witness_q,
-    verify_witness,
 )
 
 SCHEMA_VERSION = "1"
@@ -84,6 +83,7 @@ class ScanSpec:
     def __post_init__(self) -> None:
         if self.n_min > self.n_max:
             raise ParameterError(f"empty degree range [{self.n_min}, {self.n_max}]")
+        _check_n_max(self.n_max)
         if not self.primes:
             raise ParameterError("no primes given")
         for p in self.primes:
@@ -196,16 +196,6 @@ def report_envelope(key: str, value) -> dict:
     return {"schema_version": SCHEMA_VERSION, "tool": TOOL, key: value}
 
 
-def _csv_cell(value) -> str:
-    if value is None:
-        return ""
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    return str(value)
-
-
 def rows_to_csv_bytes(rows: list[ScanRow]) -> bytes:
     # Encode as the text is written, so no full-size str copy is ever held.
     buf = io.BytesIO()
@@ -213,8 +203,12 @@ def rows_to_csv_bytes(rows: list[ScanRow]) -> bytes:
     out.write(f"# tool: {TOOL}, schema: {SCHEMA_VERSION}\n")
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(CSV_COLUMNS)
+    # csv writes None as an empty cell and ints and strs through str; only
+    # the holds_* columns (4-6) are bools, written true/false.
     for row in rows:
-        writer.writerow([_csv_cell(v) for v in row])
+        cells = list(row)
+        cells[4:7] = ["true" if v else "false" for v in row[4:7]]
+        writer.writerow(cells)
     out.flush()
     return buf.getvalue()
 
@@ -324,18 +318,40 @@ def _check_oracle_bound(spec: ScanSpec, remedy: str) -> None:
             )
 
 
+def _check_n_max(n_max: int) -> None:
+    """Refuse, before any work, a degree range reaching past MAX_SUPPORTED."""
+    if n_max > MAX_SUPPORTED:
+        raise BoundExceededError(f"n_max = {n_max} exceeds the supported bound 2^40")
+
+
+def check_oracle_agreement(params: CurveParams, routed: bool, brute: Witness | None) -> None:
+    """Raise OracleDisagreementError unless the oracle found a witness exactly
+    where a constructive route applies."""
+    if (brute is not None) != routed:
+        where = f"n={params.n}, p={params.p}, r={params.r}"
+        raise OracleDisagreementError(
+            f"oracle found no witness at {where}"
+            if routed
+            else f"oracle found a witness where no route applies at {where}"
+        )
+
+
 def _check_method(method: str) -> None:
     if method not in METHODS:
         raise ParameterError(f"unknown method {method!r}")
 
 
 def compute_row(params: CurveParams, method: str = "both") -> ScanRow:
-    """One scan row; both witness routes verify what they return.  The one
-    constructive witness feeds the certificate; method picks the columns."""
+    """One scan row; both witness routes verify what they return, and the
+    oracle must agree with the routes.  The one constructive witness feeds the
+    certificate; method picks the columns."""
     _check_method(method)
     conds = classify(params)
     built = constructive_witness(params, conds)
-    brute = brute_force_witness(params) if method in ("brute", "both") else None
+    brute = None
+    if method != "constructive":
+        brute = brute_force_witness(params)
+        check_oracle_agreement(params, built is not None, brute)
     # No certification at q = 2: the dimension ledger is undefined there.
     cert = None if params.q == 2 else certificate_from_witness(params, conds, built)
     return row_to_dict(params, conds, cert, None if method == "brute" else built, brute)
@@ -371,6 +387,7 @@ def run_remark_check(n_max: int) -> dict:
     """
     if n_max < 9:
         raise ParameterError(f"n_max = {n_max}; need at least 9")
+    _check_n_max(n_max)
     matching: list[int] = []
     for n in range(5, n_max + 1, 2):
         applicable = classify(validate(n, 2, 2)).witness_q_applicable
@@ -395,9 +412,9 @@ def run_cross_validate(spec: ScanSpec) -> dict:
     """Check constructive routes against the exhaustive oracle on the grid.
 
     At every point where a constructive route applies, its witness must
-    verify and the oracle must find some witness; where no route applies,
-    the oracle must find none.  Raises OracleDisagreementError at the first
-    failure.
+    verify (else InternalInvariantError) and the oracle must find some
+    witness; where no route applies, the oracle must find none.  Raises
+    OracleDisagreementError at the first disagreement.
     """
     _check_oracle_bound(spec, "cross-validate runs the oracle at every point: lower --r-max")
     report = {
@@ -410,21 +427,14 @@ def run_cross_validate(spec: ScanSpec) -> dict:
     for params in _grid(spec):
         report["points"] += 1
         conds = classify(params)
-        where = f"n={params.n}, p={params.p}, r={params.r}"
-        for applies, build, route, key in (
-            (conds.witness_prime_applicable, constructive_witness_prime, "odd-prime", "prime"),
-            (conds.witness_q_applicable, constructive_witness_q, "general", "general"),
+        for applies, build, key in (
+            (conds.witness_prime_applicable, constructive_witness_prime, "prime"),
+            (conds.witness_q_applicable, constructive_witness_q, "general"),
         ):
             if applies:
-                if not verify_witness(params, build(params)):
-                    raise OracleDisagreementError(f"{route} construction invalid at {where}")
+                build(params)  # returns only a verified witness
                 report[f"{key}_construction_checked"] += 1
         routed = conds.witness_prime_applicable or conds.witness_q_applicable
-        if (brute_force_witness(params) is not None) != routed:
-            raise OracleDisagreementError(
-                f"oracle found no witness at {where}"
-                if routed
-                else f"oracle found a witness where no route applies at {where}"
-            )
+        check_oracle_agreement(params, routed, brute_force_witness(params))
         report["oracle_agreements"] += routed
     return report

@@ -7,6 +7,12 @@ allows.  Witnesses are produced two ways: constructively (case analysis on
 (n mod q), then solutions of d*i - q*j = t with t = gcd(d, q), whose t = 1
 case is the modular inverse i = d^-1 mod q) and by an exhaustive scan used
 as an independent oracle.
+
+The builders only construct.  Every producer returns through one exit,
+_verified: verify_witness recomputes each invariant of the witness and of
+its branch from scratch, and a witness it rejects raises
+InternalInvariantError naming the branch and the point.  Where each
+constructive route applies is stated once, in params.
 """
 
 import math
@@ -20,7 +26,7 @@ from .errors import (
     ParameterError,
     PreconditionViolatedError,
 )
-from .params import ConditionStatus, CurveParams
+from .params import ConditionStatus, CurveParams, prime_route_case, q_route_applies
 
 # floor_mult guards its product at 2^128; validated params keep n*i < 2^80.
 MAX_PRODUCT = 1 << 128
@@ -122,12 +128,21 @@ def floor_correction_vanishes(trace: DerivationTrace, i: int, params: CurveParam
     return (trace.t + i + trace.q_prime) // params.q == 0
 
 
+def _verified(params: CurveParams, w: Witness) -> Witness:
+    """w, once verify_witness accepts it: the one exit of every producer."""
+    if not verify_witness(params, w):
+        raise InternalInvariantError(
+            f"{w.branch.value} witness i = {w.i} failed verification at "
+            f"n = {params.n}, p = {params.p}, r = {params.r}"
+        )
+    return w
+
+
 def brute_force_witness(params: CurveParams) -> Witness | None:
     """Smallest admissible i found by scanning 1..q-1, verified, or None.
 
     Serves as the independent oracle for the constructive routines.  Refuses
-    q > MAX_ORACLE_Q up front, since the scan is linear in q.  A found witness
-    that fails verify_witness is a bug (InternalInvariantError).
+    q > MAX_ORACLE_Q up front, since the scan is linear in q.
     """
     n, p, q = params.n, params.p, params.q
     if q > MAX_ORACLE_Q:
@@ -142,67 +157,31 @@ def brute_force_witness(params: CurveParams) -> Witness | None:
             continue
         fv = n * i // q
         if gcd(fv, n1) == 1:
-            w = Witness(i=i, floor_value=fv, branch=Branch.BRUTE_FORCE)
-            if not verify_witness(params, w):
-                raise InternalInvariantError(f"oracle witness failed verification at n={n}, q={q}")
-            return w
+            return _verified(params, Witness(i=i, floor_value=fv, branch=Branch.BRUTE_FORCE))
     return None
 
 
 def constructive_witness_prime(params: CurveParams) -> Witness:
-    """Construct a witness via the odd-prime case analysis.
-
-    Applies when q < n < 2q, or when p is odd and additionally p does not
-    divide n - 1 or n < 2q.  Branches are tried in their proof order.
-    """
+    """Construct a witness via the odd-prime case analysis, where
+    prime_route_case allows it.  Branches are tried in their proof order."""
     n, p, q = params.n, params.p, params.q
-
-    if q < n < 2 * q:
-        fv = floor_mult(n, 1, q)
-        assert fv == 1
-        return Witness(i=1, floor_value=fv, branch=Branch.CASE_A_I1)
-
-    odd = p != 2
-    if not (odd and ((n - 1) % p != 0 or n < 2 * q)):
+    case = prime_route_case(n, p, q)
+    if case is None:
         raise PreconditionViolatedError(
             f"odd-prime witness route does not apply at n = {n}, p = {p}, q = {q}"
         )
-
-    if 2 * n > q and n < q:
-        # q odd here, so n != q/2 and floor(2n/q) = 1 exactly.
-        fv = floor_mult(n, 2, q)
-        assert fv == 1
-        return Witness(i=2, floor_value=fv, branch=Branch.HALF_RANGE_I2)
-
-    if 2 * n < q:
+    if case == "i":  # q < n < 2q
+        w = Witness(i=1, floor_value=floor_mult(n, 1, q), branch=Branch.CASE_A_I1)
+    elif 2 * n > q and n < q:  # q odd here, so floor(2n/q) = 1
+        w = Witness(i=2, floor_value=floor_mult(n, 2, q), branch=Branch.HALF_RANGE_I2)
+    elif 2 * n < q:
         mu = -(-q // n)  # ceil(q/n); smallest multiplier with mu*n >= q
-        if not (q < mu * n < (mu + 1) * n < 2 * q):
-            raise InternalInvariantError(
-                f"multiplier guard failed: q = {q}, n = {n}, mu = {mu}"
-            )
         i = mu if mu % p != 0 else mu + 1
-        assert i % p != 0  # consecutive integers cannot both be multiples of p
-        fv = floor_mult(n, i, q)
-        assert fv == 1
-        return Witness(i=i, floor_value=fv, branch=Branch.MULTIPLIER_SEARCH)
-
-    # Remaining range: n > 2q with p coprime to n - 1, hence to d, so t = 1.
-    return _inverse_witness(params, derivation_trace(params))
-
-
-def _power_of_two_witness(params: CurveParams) -> Witness:
-    """p = 2 and q | n + 1: take i = q/2 - 1."""
-    n, q = params.n, params.q
-    k = (n + 1) // q
-    if k % 2 != 0:
-        # k odd would mean n = q - 1 mod 2q, excluded by the precondition.
-        raise InternalInvariantError(f"odd ratio (n+1)/q = {k} at n = {n}, q = {q}")
-    i = q // 2 - 1
-    fv = floor_mult(n, i, q)
-    assert fv == (q // 2 - 1) * k - 1
-    if math.gcd(fv, n - 1) != 1:
-        raise InternalInvariantError(f"power-of-two witness not coprime at n = {n}, q = {q}")
-    return Witness(i=i, floor_value=fv, branch=Branch.POWER2_SPECIAL)
+        w = Witness(i=i, floor_value=floor_mult(n, i, q), branch=Branch.MULTIPLIER_SEARCH)
+    else:
+        # Remaining range: n > 2q with p coprime to n - 1, hence to d, so t = 1.
+        w = _inverse_witness(params, derivation_trace(params))
+    return _verified(params, w)
 
 
 def _inverse_witness(params: CurveParams, tr: DerivationTrace) -> Witness:
@@ -212,57 +191,43 @@ def _inverse_witness(params: CurveParams, tr: DerivationTrace) -> Witness:
     i.e. p | d, the base solution and its shift by q' are tried in turn
     (BezoutCandidate0/1).  Needs d >= 1, i.e. q does not divide n - 1.
     """
-    n, p, q = params.n, params.p, params.q
+    n, q = params.n, params.q
     t, dp, qp = tr.t, tr.d_prime, tr.q_prime
     assert tr.d >= 1  # so t <= d < q: q' >= 2 is a power of p, coprime to d'
 
     i0 = pow(dp, -1, qp)  # unique solution with 0 < i0 <= q' - 1
     j0 = (dp * i0 - 1) // qp
-    assert dp * i0 - qp * j0 == 1 and j0 >= 0
-
     if t == 1:
         bez, candidates = None, ((0, Branch.MODULAR_INVERSE),)
     else:
-        if not floor_correction_vanishes(tr, i0, params):
-            raise InternalInvariantError(
-                f"floor correction did not vanish: t = {t}, i = {i0}, q' = {qp}, q = {q}"
-            )
         bez = BezoutData(d_prime=dp, q_prime=qp, j=j0)
         candidates = ((0, Branch.BEZOUT_CANDIDATE_0), (1, Branch.BEZOUT_CANDIDATE_1))
 
     for eps, branch in candidates:
         i = i0 + eps * qp
-        j = j0 + eps * dp
-        det = tr.d * i - q * j
-        if det != t:
-            raise InternalInvariantError(
-                f"determinant d*i - q*j = {det} != t = {t} at n = {n}, q = {q}, eps = {eps}"
-            )
-        assert i % p != 0  # gcd(i0, q') = 1 and p | q'
         fv = floor_mult(n, i, q)
-        assert fv == tr.k * i + j  # floor(c*i/q) = j: the correction term vanishes
         if math.gcd(fv, n - 1) == 1:
+            det = tr.d * i - q * (j0 + eps * dp)
             return Witness(i=i, floor_value=fv, branch=branch, bezout=bez, determinant_check=det)
-    raise InternalContradictionError(f"no inverse candidate passed at n = {n}, p = {p}, q = {q}")
+    raise InternalContradictionError(
+        f"no inverse candidate passed at n = {n}, p = {params.p}, q = {q}"
+    )
 
 
 def constructive_witness_q(params: CurveParams) -> Witness:
-    """Construct a witness via the general prime-power case analysis.
-
-    Applies whenever q does not divide n - 1; for p = 2 additionally q > 2
-    and n not congruent to q - 1 modulo 2q.
-    """
+    """Construct a witness via the general prime-power case analysis, where
+    q_route_applies allows it."""
     n, p, q = params.n, params.p, params.q
-    if (n - 1) % q == 0:
-        raise PreconditionViolatedError(f"q = {q} divides n - 1 = {n - 1}")
-    if p == 2 and (q == 2 or n % (2 * q) == q - 1):
+    if not q_route_applies(n, p, q):
         raise PreconditionViolatedError(
-            f"p = 2 route needs q > 2 and n != q - 1 mod 2q; got n = {n}, q = {q}"
+            f"prime-power witness route does not apply at n = {n}, p = {p}, q = {q}"
         )
-
-    if p == 2 and (n + 1) % q == 0:  # then d = q - 2, so p | d
-        return _power_of_two_witness(params)
-    return _inverse_witness(params, derivation_trace(params))
+    if p == 2 and (n + 1) % q == 0:  # then d = q - 2, so p | d; take i = q/2 - 1
+        i = q // 2 - 1
+        w = Witness(i=i, floor_value=floor_mult(n, i, q), branch=Branch.POWER2_SPECIAL)
+    else:
+        w = _inverse_witness(params, derivation_trace(params))
+    return _verified(params, w)
 
 
 def _verify_branch(params: CurveParams, w: Witness) -> bool:
@@ -302,9 +267,12 @@ def _verify_branch(params: CurveParams, w: Witness) -> bool:
         j0 = (dp * i0 - 1) // qp
         if w.bezout != (None if t == 1 else BezoutData(d_prime=dp, q_prime=qp, j=j0)):
             return False
-        det = tr.d * w.i - q * (j0 + eps * dp)
-        return det == t == w.determinant_check and (
-            t == 1 or floor_correction_vanishes(tr, i0, params)
+        j = j0 + eps * dp
+        # floor(c*i/q) = j, i.e. floor(n*i/q) = k*i + j: the correction vanishes.
+        return (
+            tr.d * w.i - q * j == t == w.determinant_check
+            and w.floor_value == tr.k * w.i + j
+            and (t == 1 or floor_correction_vanishes(tr, i0, params))
         )
 
     if br is Branch.POWER2_SPECIAL:
@@ -334,15 +302,9 @@ def verify_witness(params: CurveParams, w: Witness) -> bool:
 
 def constructive_witness(params: CurveParams, conds: ConditionStatus) -> Witness | None:
     """The verified witness of the first route conds = classify(params) allows
-    (odd-prime, then prime-power), or None.  A failed verification is a bug."""
+    (odd-prime, then prime-power), or None."""
     if conds.witness_prime_applicable:
-        w = constructive_witness_prime(params)
-    elif conds.witness_q_applicable:
-        w = constructive_witness_q(params)
-    else:
-        return None
-    if not verify_witness(params, w):
-        raise InternalInvariantError(
-            f"constructive witness failed verification at n={params.n}, q={params.q}"
-        )
-    return w
+        return constructive_witness_prime(params)
+    if conds.witness_q_applicable:
+        return constructive_witness_q(params)
+    return None

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -91,14 +92,30 @@ class TestInternalErrors:
     def test_failed_assert_exits_2(self, capsys, monkeypatch):
         import hodgecert.witness
 
-        original = hodgecert.witness.floor_mult
+        # d = 0 trips the inverse construction's `assert tr.d >= 1`
+        original = hodgecert.witness.derivation_trace
         monkeypatch.setattr(
-            hodgecert.witness, "floor_mult", lambda n, i, q: original(n, i, q) + 1
+            hodgecert.witness, "derivation_trace", lambda params: replace(original(params), d=0)
         )
-        assert main(["certify", "--n", "5", "--p", "3", "--r", "1"]) == 2
+        assert main(["certify", "--n", "31", "--p", "3", "--r", "2"]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith("internal invariant violation")
+        assert captured.err == "internal invariant violation: AssertionError\n"
+
+    @pytest.mark.parametrize("command, module", [("witness", "cli"), ("scan", "scanner")])
+    def test_oracle_disagreement_exits_2(self, command, module, capsys, monkeypatch):
+        import importlib
+
+        monkeypatch.setattr(
+            importlib.import_module(f"hodgecert.{module}"), "brute_force_witness", lambda params: None
+        )
+        point = ["--n", "5", "--p", "3", "--r", "1"]
+        if command == "scan":
+            point = ["--n-min", "5", "--n-max", "5", "--primes", "3", "--r-max", "1"]
+        assert main([*command.split(), *point]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "oracle found no witness at n=5, p=3, r=1" in captured.err
 
 
 class TestOracleBound:

@@ -3,6 +3,7 @@ import hashlib
 import io
 import json
 import os
+import time
 from operator import attrgetter
 from pathlib import Path
 
@@ -27,6 +28,7 @@ from hodgecert import (
     validate,
 )
 from hodgecert.scanner import render_json, report_envelope
+from hodgecert.witness import Branch, Witness
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -64,6 +66,15 @@ class TestSpecValidation:
     def test_bad_prime(self):
         with pytest.raises(NotPrimeError):
             ScanSpec(5, 10, (9,), 1)
+
+    def test_refuses_n_max_above_2_40_at_once(self):
+        start = time.monotonic()
+        with pytest.raises(BoundExceededError, match="n_max"):
+            ScanSpec(4, 2**40 + 1, (3,), 1)
+        assert time.monotonic() - start < 1.0
+        # 3 divides 2^40 - 1, so the grid holds n = 2^40 - 2 and 2^40
+        last = build_rows(ScanSpec(2**40 - 2, 2**40, (3,), 1), "constructive")
+        assert [row.n for row in last] == [2**40 - 2, 2**40]
 
     def test_bad_format(self):
         with pytest.raises(ParameterError):
@@ -115,6 +126,21 @@ class TestRows:
             assert row.verdict == "OutOfScope"
             assert row.dim_abelian_variety is None
             assert row.dim_unitary is None
+
+
+class TestOracleAgreement:
+    @pytest.mark.parametrize("method", ["brute", "both"])
+    def test_forged_oracle_raises(self, method, monkeypatch):
+        import hodgecert.scanner
+
+        # (5, 3, 1): a route applies; (19, 3, 2): n = 2q + 1, no route applies
+        monkeypatch.setattr(hodgecert.scanner, "brute_force_witness", lambda params: None)
+        with pytest.raises(OracleDisagreementError, match="oracle found no witness at n=5"):
+            compute_row(validate(5, 3, 1), method)
+        forged = Witness(i=1, floor_value=2, branch=Branch.BRUTE_FORCE)
+        monkeypatch.setattr(hodgecert.scanner, "brute_force_witness", lambda params: forged)
+        with pytest.raises(OracleDisagreementError, match="no route applies at n=19"):
+            compute_row(validate(19, 3, 2), method)
 
 
 class TestRowMatchesCertificate:
@@ -279,6 +305,12 @@ class TestRemarkCheck:
         with pytest.raises(ParameterError):
             run_remark_check(8)
 
+    def test_refuses_n_max_above_2_40_at_once(self):
+        start = time.monotonic()
+        with pytest.raises(BoundExceededError, match="n_max"):
+            run_remark_check(2**40 + 1)
+        assert time.monotonic() - start < 1.0
+
     def test_dict(self):
         doc = run_remark_check(15)
         assert doc == {
@@ -319,7 +351,6 @@ class TestCrossValidate:
 
     def test_oracle_witness_where_no_route_applies(self, monkeypatch):
         import hodgecert.scanner
-        from hodgecert.witness import Branch, Witness
 
         # (19, 3, 2): n = 2q + 1, so no route applies and no witness exists
         def forged(params):
@@ -328,19 +359,6 @@ class TestCrossValidate:
         monkeypatch.setattr(hodgecert.scanner, "brute_force_witness", forged)
         with pytest.raises(OracleDisagreementError, match="no route applies"):
             run_cross_validate(ScanSpec(19, 19, (3,), 2))
-
-    @pytest.mark.parametrize(
-        "n, r, route",
-        # (5, 3, 1): both routes apply and the odd-prime one is checked first;
-        # (31, 3, 1): no route applies; (31, 3, 2): only the general one
-        [(5, 1, "odd-prime"), (31, 2, "general")],
-    )
-    def test_invalid_construction(self, n, r, route, monkeypatch):
-        import hodgecert.scanner
-
-        monkeypatch.setattr(hodgecert.scanner, "verify_witness", lambda params, w: False)
-        with pytest.raises(OracleDisagreementError, match=f"^{route} construction invalid"):
-            run_cross_validate(ScanSpec(n, n, (3,), r))
 
     def test_oracle_finds_no_witness_where_a_route_applies(self, monkeypatch):
         import hodgecert.scanner

@@ -13,6 +13,7 @@ from hodgecert import (
     BoundExceededError,
     Branch,
     CurveParams,
+    InternalInvariantError,
     ParameterError,
     PreconditionViolatedError,
     Witness,
@@ -240,6 +241,28 @@ class TestConstructiveWitness:
                 assert w == constructive_witness_q(params)
             else:
                 assert w is None
+
+
+class TestVerifiedExit:
+    @pytest.mark.parametrize(
+        "produce, point, branch",
+        [
+            (constructive_witness_prime, (5, 3, 1), Branch.CASE_A_I1),
+            (constructive_witness_q, (31, 3, 2), Branch.BEZOUT_CANDIDATE_1),
+            (brute_force_witness, (5, 3, 1), Branch.BRUTE_FORCE),
+        ],
+        ids=["constructive_witness_prime", "constructive_witness_q", "brute_force_witness"],
+    )
+    def test_rejected_witness_raises(self, produce, point, branch, monkeypatch):
+        """Every producer returns only what verify_witness accepts; a rejection
+        names the branch and the point."""
+        import hodgecert.witness
+
+        monkeypatch.setattr(hodgecert.witness, "verify_witness", lambda params, w: False)
+        n, p, r = point
+        where = f"at n = {n}, p = {p}, r = {r}$"
+        with pytest.raises(InternalInvariantError, match=f"^{branch.value} witness .* {where}"):
+            produce(validate(n, p, r))
 
 
 class TestVerify:
