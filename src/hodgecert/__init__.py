@@ -4,168 +4,27 @@ new part of superelliptic jacobians y^q = f(x), q = p^r.
 The library decides when the Hodge group is the full unitary group of the
 CM Hermitian form, producing coprimality witnesses and byte-reproducible
 certificates with complete dimension ledgers.
+
+Each module's __all__ is its public API; the package re-exports them all.
 """
 
+from . import cm_type, errors, hodge_report, lie_combinatorics, params, scanner, witness
 from ._version import __version__
-from .cm_type import (
-    CMType,
-    as_eigen_system,
-    jacobian_dim,
-    multiplicities,
-    new_part_dim,
-    semisimplicity_criterion,
-)
-from .errors import (
-    BoundExceededError,
-    BoundViolatedError,
-    DegreeNotAboveQError,
-    DegreeTooSmallError,
-    DividesDegreeError,
-    DuplicateMultiplicityError,
-    EquivalenceFailedError,
-    ExponentTooSmallError,
-    HyperellipticExcludedError,
-    InternalContradictionError,
-    InternalInvariantError,
-    LevelInconclusiveError,
-    NotPrimeError,
-    OracleDisagreementError,
-    ParameterError,
-    ParityImpossibleError,
-    PreconditionViolatedError,
-    ProductHypothesisFailedError,
-    SelfConflictError,
-)
-from .hodge_report import (
-    HodgeCertificate,
-    ProductCertificate,
-    Verdict,
-    center_dim_product,
-    certify_product,
-    certify_single,
-    unitary_dims,
-)
-from .lie_combinatorics import (
-    EigenPair,
-    EigenSystem,
-    complement_free_check,
-    coprime_pair_check,
-    eigen_system,
-    greedy_compatible_subset,
-    multiplicity_hypotheses,
-)
-from .params import ConditionStatus, CurveParams, classify, is_prime, validate
-from .scanner import (
-    CSV_COLUMNS,
-    SCHEMA_VERSION,
-    ScanRow,
-    ScanSpec,
-    atomic_write,
-    build_rows,
-    certificate_to_dict,
-    compute_row,
-    conditions_to_dict,
-    product_to_dict,
-    render_json,
-    report_envelope,
-    row_to_dict,
-    rows_to_csv_bytes,
-    rows_to_json_bytes,
-    run_cross_validate,
-    run_remark_check,
-    run_scan,
-    witness_to_dict,
-)
-from .witness import (
-    BezoutData,
-    Branch,
-    DerivationTrace,
-    Witness,
-    brute_force_witness,
-    constructive_witness,
-    constructive_witness_prime,
-    constructive_witness_q,
-    derivation_trace,
-    floor_correction_vanishes,
-    floor_mult,
-    verify_witness,
-)
+from .cm_type import *  # noqa: F403
+from .errors import *  # noqa: F403
+from .hodge_report import *  # noqa: F403
+from .lie_combinatorics import *  # noqa: F403
+from .params import *  # noqa: F403
+from .scanner import *  # noqa: F403
+from .witness import *  # noqa: F403
 
 __all__ = [
     "__version__",
-    "CSV_COLUMNS",
-    "SCHEMA_VERSION",
-    "BezoutData",
-    "BoundExceededError",
-    "BoundViolatedError",
-    "Branch",
-    "CMType",
-    "ConditionStatus",
-    "CurveParams",
-    "DegreeNotAboveQError",
-    "DegreeTooSmallError",
-    "DerivationTrace",
-    "DividesDegreeError",
-    "DuplicateMultiplicityError",
-    "EigenPair",
-    "EigenSystem",
-    "EquivalenceFailedError",
-    "ExponentTooSmallError",
-    "HodgeCertificate",
-    "HyperellipticExcludedError",
-    "InternalContradictionError",
-    "InternalInvariantError",
-    "LevelInconclusiveError",
-    "NotPrimeError",
-    "OracleDisagreementError",
-    "ParameterError",
-    "ParityImpossibleError",
-    "PreconditionViolatedError",
-    "ProductCertificate",
-    "ProductHypothesisFailedError",
-    "ScanRow",
-    "ScanSpec",
-    "SelfConflictError",
-    "Verdict",
-    "Witness",
-    "as_eigen_system",
-    "atomic_write",
-    "brute_force_witness",
-    "build_rows",
-    "center_dim_product",
-    "certificate_to_dict",
-    "certify_product",
-    "certify_single",
-    "classify",
-    "complement_free_check",
-    "compute_row",
-    "conditions_to_dict",
-    "constructive_witness",
-    "constructive_witness_prime",
-    "constructive_witness_q",
-    "coprime_pair_check",
-    "derivation_trace",
-    "eigen_system",
-    "floor_correction_vanishes",
-    "floor_mult",
-    "greedy_compatible_subset",
-    "is_prime",
-    "jacobian_dim",
-    "multiplicities",
-    "multiplicity_hypotheses",
-    "new_part_dim",
-    "product_to_dict",
-    "render_json",
-    "report_envelope",
-    "row_to_dict",
-    "rows_to_csv_bytes",
-    "rows_to_json_bytes",
-    "run_cross_validate",
-    "run_remark_check",
-    "run_scan",
-    "semisimplicity_criterion",
-    "unitary_dims",
-    "validate",
-    "verify_witness",
-    "witness_to_dict",
+    *cm_type.__all__,
+    *errors.__all__,
+    *hodge_report.__all__,
+    *lie_combinatorics.__all__,
+    *params.__all__,
+    *scanner.__all__,
+    *witness.__all__,
 ]

@@ -17,7 +17,7 @@ from .scanner import (
     ScanSpec,
     atomic_write,
     certificate_to_dict,
-    check_oracle_agreement,
+    method_witnesses,
     product_to_dict,
     render_json,
     report_envelope,
@@ -26,7 +26,6 @@ from .scanner import (
     run_scan,
     witness_to_dict,
 )
-from .witness import brute_force_witness, constructive_witness
 
 
 class _Parser(argparse.ArgumentParser):
@@ -106,10 +105,9 @@ def cmd_scan(args: argparse.Namespace) -> bytes:
 def cmd_witness(args: argparse.Namespace) -> bytes:
     params = validate(args.n, args.p, args.r)
     conds = classify(params)
-    constructive = constructive_witness(params, conds) if args.method != "brute" else None
-    brute = brute_force_witness(params) if args.method in ("brute", "both") else None
-    if args.method == "both":
-        check_oracle_agreement(params, constructive is not None, brute)
+    constructive, brute = method_witnesses(params, conds, args.method)
+    if args.method == "brute":
+        constructive = None
     body = {
         "n": params.n,
         "p": params.p,

@@ -13,6 +13,15 @@ from .errors import DegreeNotAboveQError, HyperellipticExcludedError, ParityImpo
 from .lie_combinatorics import EigenPair, EigenSystem
 from .params import CurveParams
 
+__all__ = [
+    "CMType",
+    "as_eigen_system",
+    "jacobian_dim",
+    "multiplicities",
+    "new_part_dim",
+    "semisimplicity_criterion",
+]
+
 
 @dataclass(frozen=True)
 class CMType:

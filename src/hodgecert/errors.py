@@ -6,6 +6,28 @@ InternalInvariantError covers conditions the underlying theorems guarantee,
 so raising one always indicates a bug (CLI exit code 2).
 """
 
+__all__ = [
+    "BoundExceededError",
+    "BoundViolatedError",
+    "DegreeNotAboveQError",
+    "DegreeTooSmallError",
+    "DividesDegreeError",
+    "DuplicateMultiplicityError",
+    "EquivalenceFailedError",
+    "ExponentTooSmallError",
+    "HyperellipticExcludedError",
+    "InternalContradictionError",
+    "InternalInvariantError",
+    "LevelInconclusiveError",
+    "NotPrimeError",
+    "OracleDisagreementError",
+    "ParameterError",
+    "ParityImpossibleError",
+    "PreconditionViolatedError",
+    "ProductHypothesisFailedError",
+    "SelfConflictError",
+]
+
 
 class ParameterError(ValueError):
     """Input rejected, or an operation invoked outside its domain."""

@@ -22,6 +22,16 @@ from .errors import (
 from .params import ConditionStatus, CurveParams, classify, is_prime, validate
 from .witness import Witness, constructive_witness
 
+__all__ = [
+    "HodgeCertificate",
+    "ProductCertificate",
+    "Verdict",
+    "center_dim_product",
+    "certify_product",
+    "certify_single",
+    "unitary_dims",
+]
+
 
 class Verdict(Enum):
     DETERMINED = "Determined"

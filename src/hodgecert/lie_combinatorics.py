@@ -17,6 +17,16 @@ from .errors import (
     SelfConflictError,
 )
 
+__all__ = [
+    "EigenPair",
+    "EigenSystem",
+    "complement_free_check",
+    "coprime_pair_check",
+    "eigen_system",
+    "greedy_compatible_subset",
+    "multiplicity_hypotheses",
+]
+
 
 @dataclass(frozen=True)
 class EigenPair:

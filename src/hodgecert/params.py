@@ -16,6 +16,14 @@ from .errors import (
     NotPrimeError,
 )
 
+__all__ = [
+    "ConditionStatus",
+    "CurveParams",
+    "classify",
+    "is_prime",
+    "validate",
+]
+
 # n and q are both capped at 2^40 so every product formed anywhere in the
 # library (n*i with i < q, dimension ledgers in (n-1)^2) stays well inside
 # 128 bits.  Larger inputs are rejected explicitly rather than silently
@@ -48,6 +56,15 @@ def is_prime(m: int) -> bool:
         else:
             return False
     return True
+
+
+def require_prime(p: int) -> None:
+    """Raise BoundExceededError for p > 2^40, checked first so a huge p never
+    reaches Miller-Rabin, else NotPrimeError unless p is prime."""
+    if p > MAX_SUPPORTED:
+        raise BoundExceededError(f"p = {p} exceeds the supported bound 2^40")
+    if not is_prime(p):
+        raise NotPrimeError(f"p = {p} is not prime")
 
 
 @dataclass(frozen=True)
@@ -95,8 +112,7 @@ def validate(n: int, p: int, r: int) -> CurveParams:
     """
     if r < 1:
         raise ExponentTooSmallError(f"r = {r}; the exponent must be at least 1")
-    if not is_prime(p):
-        raise NotPrimeError(f"p = {p} is not prime")
+    require_prime(p)
     if n < 4:
         raise DegreeTooSmallError(f"n = {n}; the degree must be at least 4")
     if n % p == 0:

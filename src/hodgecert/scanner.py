@@ -10,7 +10,7 @@ import csv
 import io
 import json
 import os
-import tempfile
+import stat
 from collections import namedtuple
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
@@ -20,7 +20,6 @@ from .errors import (
     BoundExceededError,
     EquivalenceFailedError,
     ExponentTooSmallError,
-    NotPrimeError,
     OracleDisagreementError,
     ParameterError,
 )
@@ -31,7 +30,7 @@ from .hodge_report import (
     certificate_from_witness,
     certify_single,  # noqa: F401  (perfbench's tracer test reads scanner.certify_single)
 )
-from .params import MAX_SUPPORTED, ConditionStatus, CurveParams, classify, is_prime, validate
+from .params import MAX_SUPPORTED, ConditionStatus, CurveParams, classify, require_prime, validate
 from .witness import (
     MAX_ORACLE_Q,
     Witness,
@@ -40,6 +39,28 @@ from .witness import (
     constructive_witness_prime,
     constructive_witness_q,
 )
+
+__all__ = [
+    "CSV_COLUMNS",
+    "SCHEMA_VERSION",
+    "ScanRow",
+    "ScanSpec",
+    "atomic_write",
+    "build_rows",
+    "certificate_to_dict",
+    "compute_row",
+    "conditions_to_dict",
+    "product_to_dict",
+    "render_json",
+    "report_envelope",
+    "row_to_dict",
+    "rows_to_csv_bytes",
+    "rows_to_json_bytes",
+    "run_cross_validate",
+    "run_remark_check",
+    "run_scan",
+    "witness_to_dict",
+]
 
 SCHEMA_VERSION = "1"
 TOOL = f"hodgecert {__version__}"
@@ -87,8 +108,7 @@ class ScanSpec:
         if not self.primes:
             raise ParameterError("no primes given")
         for p in self.primes:
-            if not is_prime(p):
-                raise NotPrimeError(f"p = {p} is not prime")
+            require_prime(p)
         if self.r_max < 1:
             raise ExponentTooSmallError(f"r_max = {self.r_max}; need at least 1")
         if self.format not in FORMATS:
@@ -270,12 +290,22 @@ def rows_to_json_bytes(rows: list[ScanRow]) -> bytes:
 
 
 def atomic_write(path: str, data: bytes) -> None:
-    """Write via a temp file in the target directory, then rename into place."""
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".hodgecert-", suffix=".tmp")
+    """Write via a temp file in the target directory, then rename into place.
+
+    The file ends up with the mode open(path, "wb") would leave: an existing
+    target keeps its permission bits, a new one gets 0o666 less the umask.
+    """
+    directory = os.path.dirname(os.path.abspath(path))
+    tmp = os.path.join(directory, f".hodgecert-{os.urandom(8).hex()}.tmp")
+    # O_EXCL: never reuse a file; mode 0o666 is masked by the umask, as in open().
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "wb") as fh:
             fh.write(data)
+        try:
+            os.chmod(tmp, stat.S_IMODE(os.stat(path).st_mode))
+        except FileNotFoundError:
+            pass
         os.replace(tmp, path)
     except BaseException:
         try:
@@ -341,17 +371,27 @@ def _check_method(method: str) -> None:
         raise ParameterError(f"unknown method {method!r}")
 
 
-def compute_row(params: CurveParams, method: str = "both") -> ScanRow:
-    """One scan row; both witness routes verify what they return, and the
-    oracle must agree with the routes.  The one constructive witness feeds the
-    certificate; method picks the columns."""
+def method_witnesses(
+    params: CurveParams, conds: ConditionStatus, method: str
+) -> tuple[Witness | None, Witness | None]:
+    """(constructive, oracle) witnesses at one point for a --method.  The
+    constructive one is always built, as it feeds the certificate; the oracle
+    runs unless method is "constructive", and must agree with the routes."""
     _check_method(method)
-    conds = classify(params)
     built = constructive_witness(params, conds)
     brute = None
     if method != "constructive":
         brute = brute_force_witness(params)
         check_oracle_agreement(params, built is not None, brute)
+    return built, brute
+
+
+def compute_row(params: CurveParams, method: str = "both") -> ScanRow:
+    """One scan row; both witness routes verify what they return, and the
+    oracle must agree with the routes.  The one constructive witness feeds the
+    certificate; method picks the columns."""
+    conds = classify(params)
+    built, brute = method_witnesses(params, conds, method)
     # No certification at q = 2: the dimension ledger is undefined there.
     cert = None if params.q == 2 else certificate_from_witness(params, conds, built)
     return row_to_dict(params, conds, cert, None if method == "brute" else built, brute)

@@ -28,6 +28,21 @@ from .errors import (
 )
 from .params import ConditionStatus, CurveParams, prime_route_case, q_route_applies
 
+__all__ = [
+    "BezoutData",
+    "Branch",
+    "DerivationTrace",
+    "Witness",
+    "brute_force_witness",
+    "constructive_witness",
+    "constructive_witness_prime",
+    "constructive_witness_q",
+    "derivation_trace",
+    "floor_correction_vanishes",
+    "floor_mult",
+    "verify_witness",
+]
+
 # floor_mult guards its product at 2^128; validated params keep n*i < 2^80.
 MAX_PRODUCT = 1 << 128
 

@@ -1,5 +1,7 @@
+import hashlib
 import json
 import os
+import shlex
 import subprocess
 import sys
 import time
@@ -12,6 +14,7 @@ import hodgecert
 from hodgecert.cli import main
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
+README = PYPROJECT.with_name("README.md")
 
 
 def run_json(capsys, argv: list[str]) -> dict:
@@ -102,13 +105,11 @@ class TestInternalErrors:
         assert captured.out == ""
         assert captured.err == "internal invariant violation: AssertionError\n"
 
-    @pytest.mark.parametrize("command, module", [("witness", "cli"), ("scan", "scanner")])
-    def test_oracle_disagreement_exits_2(self, command, module, capsys, monkeypatch):
-        import importlib
+    @pytest.mark.parametrize("command", ["witness", "witness --method brute", "scan"])
+    def test_oracle_disagreement_exits_2(self, command, capsys, monkeypatch):
+        import hodgecert.scanner
 
-        monkeypatch.setattr(
-            importlib.import_module(f"hodgecert.{module}"), "brute_force_witness", lambda params: None
-        )
+        monkeypatch.setattr(hodgecert.scanner, "brute_force_witness", lambda params: None)
         point = ["--n", "5", "--p", "3", "--r", "1"]
         if command == "scan":
             point = ["--n-min", "5", "--n-max", "5", "--primes", "3", "--r-max", "1"]
@@ -213,6 +214,27 @@ class TestWitness:
         assert body["constructive"]["branch"] == "Power2Special"
         assert body["constructive"]["i"] == 3
         assert body["brute_force"] is None
+
+    def test_brute_only(self, capsys):
+        doc = run_json(
+            capsys, ["witness", "--n", "31", "--p", "3", "--r", "2", "--method", "brute"]
+        )
+        assert doc["witness_report"] == {
+            "n": 31,
+            "p": 3,
+            "r": 2,
+            "q": 9,
+            "witness_prime_applicable": False,
+            "witness_q_applicable": True,
+            "constructive": None,
+            "brute_force": {
+                "i": 4,
+                "floor_value": 13,
+                "branch": "BruteForce",
+                "determinant_check": None,
+                "bezout": None,
+            },
+        }
 
 
 GRID = ["--n-min", "5", "--n-max", "16", "--primes", "2,3", "--r-max", "2"]
@@ -326,3 +348,48 @@ class TestEntryPoints:
         )
         # argparse default would be 2; the contract reserves 2 for internal bugs
         assert proc.returncode == 1
+
+
+def readme_commands() -> list[str]:
+    """Every hodgecert command in README's CLI block, continuation lines joined."""
+    text = README.read_text(encoding="utf-8")
+    block = text.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = block.replace("\\\n", " ").splitlines()
+    return [" ".join(line.split()) for line in lines if line.startswith("hodgecert ")]
+
+
+# SHA-256 of each README example's report: stdout, or the --out file.
+README_SHA256 = {
+    "hodgecert certify --n 5 --p 3 --r 1": (
+        "a3da791c256a741da70dcd879da658f7567c79a2072b8bc439400d00c48a23c9"
+    ),
+    "hodgecert certify --n 11 --p 3 --r 2 --product": (
+        "6640dde3840422492538c194e71e1ef0c4d18bfe8bc57fd0814727bf08326715"
+    ),
+    "hodgecert witness --n 31 --p 3 --r 2": (
+        "2f2ae3393aab19db9d6446bcfaf40ac9a9ee4d411a8e26fbde553df4a687c890"
+    ),
+    "hodgecert scan --n-min 5 --n-max 200 --primes 2,3,5 --r-max 3 --format csv --out report.csv": (
+        "f28ea160e133822556ad72e34e740125e9b53ac150f9960d7afc994f4798dd0d"
+    ),
+    "hodgecert remark-check --n-max 100000": (
+        "3fb030a0be37888107b7c437ba0f2eab58e1813bc80a5c85d8522bff8a6ed7e3"
+    ),
+    "hodgecert cross-validate --n-min 4 --n-max 500 --primes 2,3,5 --r-max 4": (
+        "fad479a22d3952bbc8a60e3cab46356d5e909150ecd5c7be1d6864d85a77c52d"
+    ),
+}
+
+
+def test_readme_examples_bytes(tmp_path, capsysbinary):
+    digests = {}
+    for command in readme_commands():
+        argv = shlex.split(command)[1:]
+        out = None
+        if "--out" in argv:
+            at = argv.index("--out") + 1
+            out = argv[at] = str(tmp_path / argv[at])
+        assert main(argv) == 0, command
+        report = capsysbinary.readouterr().out if out is None else Path(out).read_bytes()
+        digests[command] = hashlib.sha256(report).hexdigest()
+    assert digests == README_SHA256

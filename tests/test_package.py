@@ -4,7 +4,7 @@ import hodgecert
 
 
 def test_all_names_every_public_name_once():
-    """__init__ keeps its imports and __all__ as two lists; they must agree."""
+    """__init__ re-exports each module's __all__; every public name appears once."""
     public = {
         name
         for name, value in vars(hodgecert).items()

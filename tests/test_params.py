@@ -1,4 +1,5 @@
 import math
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -50,6 +51,14 @@ class TestValidate:
     def test_not_prime(self):
         with pytest.raises(NotPrimeError):
             validate(10, 4, 1)
+
+    def test_p_above_2_40_refused_before_primality(self):
+        # a 4,290-digit composite with no factor below 41: Miller-Rabin on it
+        # takes seconds
+        start = time.monotonic()
+        with pytest.raises(BoundExceededError, match="p = "):
+            validate(5, 41**2660, 1)
+        assert time.monotonic() - start < 1.0
 
     def test_degree_too_small(self):
         with pytest.raises(DegreeTooSmallError):

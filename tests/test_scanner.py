@@ -67,6 +67,11 @@ class TestSpecValidation:
         with pytest.raises(NotPrimeError):
             ScanSpec(5, 10, (9,), 1)
 
+    def test_refuses_prime_above_2_40(self):
+        # the smallest prime above 2^40: the whole grid is refused
+        with pytest.raises(BoundExceededError, match="p = 1099511627791"):
+            ScanSpec(4, 10, (3, 1099511627791), 1)
+
     def test_refuses_n_max_above_2_40_at_once(self):
         start = time.monotonic()
         with pytest.raises(BoundExceededError, match="n_max"):
@@ -283,6 +288,23 @@ class TestAtomicWrite:
             atomic_write(str(target), b"{}\n")
         assert not target.exists()
         assert os.listdir(tmp_path) == []
+
+    def test_new_file_mode_follows_umask(self, tmp_path):
+        target = tmp_path / "out.json"
+        old = os.umask(0o022)
+        try:
+            atomic_write(str(target), b"{}\n")
+        finally:
+            os.umask(old)
+        assert target.stat().st_mode & 0o777 == 0o644
+
+    def test_existing_file_keeps_mode(self, tmp_path):
+        target = tmp_path / "out.json"
+        target.write_bytes(b"old\n")
+        target.chmod(0o640)
+        atomic_write(str(target), b"{}\n")
+        assert target.read_bytes() == b"{}\n"
+        assert target.stat().st_mode & 0o777 == 0o640
 
     def test_scan_writes_payload(self, tmp_path):
         target = tmp_path / "report.csv"
