@@ -16,10 +16,9 @@ from .errors import (
     HyperellipticExcludedError,
     InternalContradictionError,
     LevelInconclusiveError,
-    NotPrimeError,
     ProductHypothesisFailedError,
 )
-from .params import ConditionStatus, CurveParams, classify, is_prime, validate
+from .params import ConditionStatus, CurveParams, classify, require_prime, validate
 from .witness import Witness, constructive_witness
 
 __all__ = [
@@ -132,8 +131,7 @@ def center_dim_product(p: int, r: int) -> int:
     The center consists of trace-compatible tuples of purely imaginary
     cyclotomic elements; each tuple is determined by its top component.
     """
-    if not is_prime(p):
-        raise NotPrimeError(f"p = {p} is not prime")
+    require_prime(p)
     if p == 2:
         raise ProductHypothesisFailedError("the multi-level center needs p odd")
     if r < 1:
@@ -144,24 +142,25 @@ def center_dim_product(p: int, r: int) -> int:
 def certify_product(params: CurveParams) -> ProductCertificate:
     """Certify all levels q = p, ..., p^r at once.
 
-    Requires p odd, p coprime to n(n-1), and n > q; under those hypotheses
-    every level is individually determined, and the total ledger is the
-    multi-level center plus the per-level semisimple parts.
+    Requires classify's product hypotheses (p odd, p coprime to n(n-1)) and
+    n > q; under them every level is individually determined, and the total
+    ledger is the multi-level center plus the per-level semisimple parts.
     """
-    n, p, r, q = params.n, params.p, params.r, params.q
-    if p == 2:
-        raise ProductHypothesisFailedError("product certification needs p odd")
-    if (n * (n - 1)) % p == 0:
-        raise ProductHypothesisFailedError(f"p = {p} divides n(n-1) = {n * (n - 1)}")
-    if n <= q:
-        raise ProductHypothesisFailedError(f"need n > q; got n = {n}, q = {q}")
+    n, p, r = params.n, params.p, params.r
+    conds = classify(params)
+    if not (conds.product_applicable and conds.n_gt_q):
+        raise ProductHypothesisFailedError(
+            f"product certification needs p odd, p coprime to n(n-1) and n > q; got {params}"
+        )
 
     levels = tuple(certify_single(validate(n, p, i)) for i in range(1, r + 1))
     for i, cert in enumerate(levels, start=1):
         if cert.verdict is not Verdict.DETERMINED:
             raise LevelInconclusiveError(f"level q = {p}^{i} came back {cert.verdict.value}")
 
-    center = center_dim_product(p, r)
+    # A trace-compatible tuple is determined by its top component, so the
+    # multi-level center is the top level's center, of dimension phi(p^r)/2.
+    center = levels[-1].dim_center
     total = center + sum(cert.dim_semisimple for cert in levels)
     return ProductCertificate(
         params=params,

@@ -58,11 +58,19 @@ def is_prime(m: int) -> bool:
     return True
 
 
+def require_bounded(name: str, value: int) -> None:
+    """Raise BoundExceededError if |value| > 2^40.  Run it before any check
+    whose message names the value: past 64 bits the value is named by its bit
+    length, as Python writes no int of more than 4,300 digits in decimal."""
+    if abs(value) > MAX_SUPPORTED:
+        shown = value if value.bit_length() <= 64 else f"a {value.bit_length()}-bit integer"
+        raise BoundExceededError(f"{name} = {shown} exceeds the supported bound 2^40")
+
+
 def require_prime(p: int) -> None:
-    """Raise BoundExceededError for p > 2^40, checked first so a huge p never
+    """Raise BoundExceededError for |p| > 2^40, checked first so a huge p never
     reaches Miller-Rabin, else NotPrimeError unless p is prime."""
-    if p > MAX_SUPPORTED:
-        raise BoundExceededError(f"p = {p} exceeds the supported bound 2^40")
+    require_bounded("p", p)
     if not is_prime(p):
         raise NotPrimeError(f"p = {p} is not prime")
 
@@ -107,9 +115,11 @@ class ConditionStatus:
 def validate(n: int, p: int, r: int) -> CurveParams:
     """Check (n, p, r) and return CurveParams with q = p^r.
 
-    Raises ExponentTooSmallError, NotPrimeError, DegreeTooSmallError,
-    DividesDegreeError, or BoundExceededError on bad input.
+    Raises BoundExceededError, ExponentTooSmallError, NotPrimeError,
+    DegreeTooSmallError or DividesDegreeError on bad input.
     """
+    require_bounded("n", n)
+    require_bounded("r", r)
     if r < 1:
         raise ExponentTooSmallError(f"r = {r}; the exponent must be at least 1")
     require_prime(p)
@@ -117,8 +127,6 @@ def validate(n: int, p: int, r: int) -> CurveParams:
         raise DegreeTooSmallError(f"n = {n}; the degree must be at least 4")
     if n % p == 0:
         raise DividesDegreeError(f"p = {p} divides n = {n}")
-    if n > MAX_SUPPORTED:
-        raise BoundExceededError(f"n = {n} exceeds the supported bound 2^40")
     # p >= 2, so r > 40 already forces q > 2^40; bail before computing p**r.
     if r > 40:
         raise BoundExceededError(f"q = {p}^{r} exceeds the supported bound 2^40")

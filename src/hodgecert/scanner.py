@@ -30,13 +30,20 @@ from .hodge_report import (
     certificate_from_witness,
     certify_single,  # noqa: F401  (perfbench's tracer test reads scanner.certify_single)
 )
-from .params import MAX_SUPPORTED, ConditionStatus, CurveParams, classify, require_prime, validate
+from .params import (
+    MAX_SUPPORTED,
+    ConditionStatus,
+    CurveParams,
+    classify,
+    require_bounded,
+    require_prime,
+    validate,
+)
 from .witness import (
     MAX_ORACLE_Q,
     Witness,
     brute_force_witness,
     constructive_witness,
-    constructive_witness_prime,
     constructive_witness_q,
 )
 
@@ -102,9 +109,11 @@ class ScanSpec:
     format: str = "json"
 
     def __post_init__(self) -> None:
+        require_bounded("n_max", self.n_max)
+        require_bounded("n_min", self.n_min)
+        require_bounded("r_max", self.r_max)
         if self.n_min > self.n_max:
             raise ParameterError(f"empty degree range [{self.n_min}, {self.n_max}]")
-        _check_n_max(self.n_max)
         if not self.primes:
             raise ParameterError("no primes given")
         for p in self.primes:
@@ -348,24 +357,6 @@ def _check_oracle_bound(spec: ScanSpec, remedy: str) -> None:
             )
 
 
-def _check_n_max(n_max: int) -> None:
-    """Refuse, before any work, a degree range reaching past MAX_SUPPORTED."""
-    if n_max > MAX_SUPPORTED:
-        raise BoundExceededError(f"n_max = {n_max} exceeds the supported bound 2^40")
-
-
-def check_oracle_agreement(params: CurveParams, routed: bool, brute: Witness | None) -> None:
-    """Raise OracleDisagreementError unless the oracle found a witness exactly
-    where a constructive route applies."""
-    if (brute is not None) != routed:
-        where = f"n={params.n}, p={params.p}, r={params.r}"
-        raise OracleDisagreementError(
-            f"oracle found no witness at {where}"
-            if routed
-            else f"oracle found a witness where no route applies at {where}"
-        )
-
-
 def _check_method(method: str) -> None:
     if method not in METHODS:
         raise ParameterError(f"unknown method {method!r}")
@@ -376,13 +367,17 @@ def method_witnesses(
 ) -> tuple[Witness | None, Witness | None]:
     """(constructive, oracle) witnesses at one point for a --method.  The
     constructive one is always built, as it feeds the certificate; the oracle
-    runs unless method is "constructive", and must agree with the routes."""
+    runs unless method is "constructive", and must find a witness exactly
+    where a route applies (else OracleDisagreementError)."""
     _check_method(method)
     built = constructive_witness(params, conds)
     brute = None
     if method != "constructive":
         brute = brute_force_witness(params)
-        check_oracle_agreement(params, built is not None, brute)
+        if (brute is None) != (built is None):
+            where = f"n={params.n}, p={params.p}, r={params.r}"
+            found = "no witness" if brute is None else "a witness where no route applies"
+            raise OracleDisagreementError(f"oracle found {found} at {where}")
     return built, brute
 
 
@@ -425,9 +420,9 @@ def run_remark_check(n_max: int) -> dict:
 
     Raises EquivalenceFailedError with the first counterexample.
     """
+    require_bounded("n_max", n_max)
     if n_max < 9:
         raise ParameterError(f"n_max = {n_max}; need at least 9")
-    _check_n_max(n_max)
     matching: list[int] = []
     for n in range(5, n_max + 1, 2):
         applicable = classify(validate(n, 2, 2)).witness_q_applicable
@@ -451,10 +446,10 @@ def run_remark_check(n_max: int) -> dict:
 def run_cross_validate(spec: ScanSpec) -> dict:
     """Check constructive routes against the exhaustive oracle on the grid.
 
-    At every point where a constructive route applies, its witness must
-    verify (else InternalInvariantError) and the oracle must find some
-    witness; where no route applies, the oracle must find none.  Raises
-    OracleDisagreementError at the first disagreement.
+    At every point, each constructive route that applies must build a witness
+    that verifies (else InternalInvariantError), and the oracle must find a
+    witness exactly where a route applies, as in scan --method both (else
+    OracleDisagreementError, at the first disagreement).
     """
     _check_oracle_bound(spec, "cross-validate runs the oracle at every point: lower --r-max")
     report = {
@@ -465,16 +460,13 @@ def run_cross_validate(spec: ScanSpec) -> dict:
         "disagreements": 0,
     }
     for params in _grid(spec):
-        report["points"] += 1
         conds = classify(params)
-        for applies, build, key in (
-            (conds.witness_prime_applicable, constructive_witness_prime, "prime"),
-            (conds.witness_q_applicable, constructive_witness_q, "general"),
-        ):
-            if applies:
-                build(params)  # returns only a verified witness
-                report[f"{key}_construction_checked"] += 1
-        routed = conds.witness_prime_applicable or conds.witness_q_applicable
-        check_oracle_agreement(params, routed, brute_force_witness(params))
-        report["oracle_agreements"] += routed
+        built, _ = method_witnesses(params, conds, "both")
+        if conds.witness_prime_applicable and conds.witness_q_applicable:
+            # the route constructive_witness passed over; returns only a verified witness
+            constructive_witness_q(params)
+        report["points"] += 1
+        report["prime_construction_checked"] += conds.witness_prime_applicable
+        report["general_construction_checked"] += conds.witness_q_applicable
+        report["oracle_agreements"] += built is not None
     return report

@@ -1,9 +1,11 @@
 import dataclasses
+import time
 
 import pytest
 from hypothesis import given, settings
 
 from hodgecert import (
+    BoundExceededError,
     HyperellipticExcludedError,
     InternalContradictionError,
     InternalInvariantError,
@@ -160,6 +162,15 @@ class TestCenterDimProduct:
         with pytest.raises(ProductHypothesisFailedError):
             center_dim_product(2, 3)
 
+    def test_bounds_p_before_primality(self):
+        # a 4,290-digit composite with no factor below 41, then the smallest
+        # prime above 2^40
+        start = time.monotonic()
+        for p in (41**2660, 1099511627791):
+            with pytest.raises(BoundExceededError, match="p = "):
+                center_dim_product(p, 1)
+        assert time.monotonic() - start < 1.0
+
 
 class TestCertifyProduct:
     def test_example_11_3_2(self):
@@ -185,6 +196,16 @@ class TestCertifyProduct:
     def test_rejects_n_below_q(self):
         with pytest.raises(ProductHypothesisFailedError):
             certify_product(validate(5, 3, 2))
+
+    @pytest.mark.parametrize("point", [(7, 2, 2), (10, 3, 2), (4, 3, 1), (5, 3, 2)])
+    def test_refuses_before_certifying_any_level(self, point, monkeypatch):
+        import hodgecert.hodge_report
+
+        calls = []
+        monkeypatch.setattr(hodgecert.hodge_report, "certify_single", calls.append)
+        with pytest.raises(ProductHypothesisFailedError):
+            certify_product(validate(*point))
+        assert calls == []
 
     @settings(max_examples=100)
     @given(valid_params(max_q=243, max_n=1000, min_n=5))

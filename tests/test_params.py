@@ -10,8 +10,11 @@ from hodgecert import (
     DividesDegreeError,
     ExponentTooSmallError,
     NotPrimeError,
+    ParameterError,
+    ScanSpec,
     classify,
     is_prime,
+    run_remark_check,
     validate,
 )
 
@@ -82,6 +85,39 @@ class TestValidate:
     def test_huge_exponent_rejected_quickly(self):
         with pytest.raises(BoundExceededError):
             validate(5, 3, 10**9)
+
+
+# More than 4,300 digits: Python refuses to write these ints in decimal, so
+# a refusal that formats one raises a plain ValueError instead.
+HUGE = 10**5000
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: validate(HUGE, 3, 1),
+        lambda: validate(3 * HUGE, 3, 1),
+        lambda: validate(-HUGE, 3, 1),
+        lambda: validate(5, 41**3000, 1),
+        lambda: validate(5, 3, HUGE),
+        lambda: validate(5, 3, -HUGE),
+        lambda: ScanSpec(4, HUGE, (3,), 1),
+        lambda: run_remark_check(HUGE),
+    ],
+    ids=[
+        "validate-n",
+        "validate-n-divisible",
+        "validate-n-negative",
+        "validate-p",
+        "validate-r",
+        "validate-r-negative",
+        "scanspec-n-max",
+        "remark-check-n-max",
+    ],
+)
+def test_huge_int_refused_as_parameter_error(call):
+    with pytest.raises(ParameterError):
+        call()
 
 
 class TestClassify:

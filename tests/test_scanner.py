@@ -371,6 +371,36 @@ class TestCrossValidate:
         assert 0 < report["oracle_agreements"] <= report["points"]
         assert report["disagreements"] == 0
 
+    def test_both_routes_built_once_and_oracle_run_once(self, monkeypatch):
+        import hodgecert.scanner
+        import hodgecert.witness
+
+        # (5, 3, 1): q < n < 2q and q does not divide n - 1, so both routes apply
+        calls = []
+        for name in ("constructive_witness_prime", "constructive_witness_q", "brute_force_witness"):
+            real = getattr(hodgecert.witness, name)
+
+            def counted(params, _real=real, _name=name):
+                calls.append(_name)
+                return _real(params)
+
+            for module in (hodgecert.witness, hodgecert.scanner):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, counted)
+        report = run_cross_validate(ScanSpec(5, 5, (3,), 1))
+        assert sorted(calls) == [
+            "brute_force_witness",
+            "constructive_witness_prime",
+            "constructive_witness_q",
+        ]
+        assert report == {
+            "points": 1,
+            "prime_construction_checked": 1,
+            "general_construction_checked": 1,
+            "oracle_agreements": 1,
+            "disagreements": 0,
+        }
+
     def test_oracle_witness_where_no_route_applies(self, monkeypatch):
         import hodgecert.scanner
 
