@@ -18,7 +18,8 @@ from .errors import (
     LevelInconclusiveError,
     ProductHypothesisFailedError,
 )
-from .params import ConditionStatus, CurveParams, classify, require_prime, validate
+from .params import ConditionStatus, CurveParams, classify, validate
+from .params import _bounded_q, require_bounded, require_prime  # center_dim_product's bounds
 from .witness import Witness, constructive_witness
 
 __all__ = [
@@ -134,9 +135,10 @@ def center_dim_product(p: int, r: int) -> int:
     require_prime(p)
     if p == 2:
         raise ProductHypothesisFailedError("the multi-level center needs p odd")
+    require_bounded("r", r)
     if r < 1:
         raise ExponentTooSmallError(f"r = {r}; need r >= 1")
-    return p ** (r - 1) * (p - 1) // 2
+    return _bounded_q(p, r) // p * (p - 1) // 2
 
 
 def certify_product(params: CurveParams) -> ProductCertificate:

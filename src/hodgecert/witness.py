@@ -3,10 +3,10 @@
 A witness for (n, p, q) is an integer i with 1 <= i <= q - 1, gcd(i, p) = 1,
 and gcd(floor(n*i/q), n - 1) = 1.  Such an i certifies that the semisimple
 part of the Hodge group of the new part is everything the Hermitian form
-allows.  Witnesses are produced two ways: constructively (case analysis on
-(n mod q), then solutions of d*i - q*j = t with t = gcd(d, q), whose t = 1
-case is the modular inverse i = d^-1 mod q) and by an exhaustive scan used
-as an independent oracle.
+allows.  Witnesses are produced two ways: constructively (below 2q, the
+smallest i prime to p with n*i > q, so floor(n*i/q) = 1; elsewhere solutions
+of d*i - q*j = t with t = gcd(d, q), whose t = 1 case is i = d^-1 mod q) and
+by an exhaustive scan used as an independent oracle.
 
 The builders only construct.  Every producer returns through one exit,
 _verified: verify_witness recomputes each invariant of the witness and of
@@ -53,9 +53,11 @@ MAX_ORACLE_Q = 1 << 24
 class Branch(Enum):
     """How a witness was obtained."""
 
-    CASE_A_I1 = "CaseA_i1"                  # q < n < 2q, take i = 1
-    HALF_RANGE_I2 = "HalfRange_i2"          # p odd, q/2 < n < q, take i = 2
-    MULTIPLIER_SEARCH = "MultiplierSearch"  # p odd, n < q/2, smallest multiplier
+    # Below 2q one floor-one rule, i = ceil(q/n) plus one if p divides it;
+    # the three labels name the range of n.
+    CASE_A_I1 = "CaseA_i1"                  # q < n < 2q, so i = 1
+    HALF_RANGE_I2 = "HalfRange_i2"          # p odd, q/2 < n < q, so i = 2
+    MULTIPLIER_SEARCH = "MultiplierSearch"  # p odd, n < q/2
     MODULAR_INVERSE = "ModularInverse"      # t = 1 Bezout solution: i = d^-1 mod q
     BEZOUT_CANDIDATE_0 = "BezoutCandidate0"  # t > 1: base solution i = d'^-1 mod q'
     BEZOUT_CANDIDATE_1 = "BezoutCandidate1"  # t > 1: base solution shifted by q'
@@ -177,22 +179,23 @@ def brute_force_witness(params: CurveParams) -> Witness | None:
 
 
 def constructive_witness_prime(params: CurveParams) -> Witness:
-    """Construct a witness via the odd-prime case analysis, where
-    prime_route_case allows it.  Branches are tried in their proof order."""
+    """Construct a witness via the odd-prime route, where prime_route_case
+    allows it: the floor-one rule below 2q, the modular inverse above."""
     n, p, q = params.n, params.p, params.q
-    case = prime_route_case(n, p, q)
-    if case is None:
+    if prime_route_case(n, p, q) is None:
         raise PreconditionViolatedError(
             f"odd-prime witness route does not apply at n = {n}, p = {p}, q = {q}"
         )
-    if case == "i":  # q < n < 2q
-        w = Witness(i=1, floor_value=floor_mult(n, 1, q), branch=Branch.CASE_A_I1)
-    elif 2 * n > q and n < q:  # q odd here, so floor(2n/q) = 1
-        w = Witness(i=2, floor_value=floor_mult(n, 2, q), branch=Branch.HALF_RANGE_I2)
-    elif 2 * n < q:
-        mu = -(-q // n)  # ceil(q/n); smallest multiplier with mu*n >= q
-        i = mu if mu % p != 0 else mu + 1
-        w = Witness(i=i, floor_value=floor_mult(n, i, q), branch=Branch.MULTIPLIER_SEARCH)
+    if n < 2 * q:  # p is odd unless q < n
+        # The smallest i prime to p with n*i > q.  floor(n*i/q) = 1: q < mu*n < q + n
+        # as p does not divide n, and if p divides mu, then mu > 2, so (mu + 1)*n < 2q.
+        mu = -(-q // n)  # ceil(q/n)
+        i = mu + (mu % p == 0)
+        if n > q:
+            branch = Branch.CASE_A_I1
+        else:
+            branch = Branch.HALF_RANGE_I2 if 2 * n > q else Branch.MULTIPLIER_SEARCH
+        w = Witness(i=i, floor_value=floor_mult(n, i, q), branch=branch)
     else:
         # Remaining range: n > 2q with p coprime to n - 1, hence to d, so t = 1.
         w = _inverse_witness(params, derivation_trace(params))
@@ -246,26 +249,9 @@ def constructive_witness_q(params: CurveParams) -> Witness:
 
 
 def _verify_branch(params: CurveParams, w: Witness) -> bool:
-    """Branch-specific invariants, recomputed from scratch."""
+    """Branch-specific invariants, recomputed from scratch; frequent branches first."""
     n, p, q = params.n, params.p, params.q
     br = w.branch
-
-    if br is Branch.BRUTE_FORCE:
-        return True
-
-    if br is Branch.CASE_A_I1:
-        return w.i == 1 and q < n < 2 * q and w.floor_value == 1
-
-    if br is Branch.HALF_RANGE_I2:
-        return w.i == 2 and p != 2 and 2 * n > q and n < q and w.floor_value == 1
-
-    if br is Branch.MULTIPLIER_SEARCH:
-        if p == 2 or 2 * n >= q:
-            return False
-        mu = -(-q // n)
-        if w.i not in (mu, mu + 1) or w.i % p == 0:
-            return False
-        return q < mu * n < (mu + 1) * n < 2 * q and w.floor_value == 1
 
     inverse = br is Branch.MODULAR_INVERSE
     if inverse or br is Branch.BEZOUT_CANDIDATE_0 or br is Branch.BEZOUT_CANDIDATE_1:
@@ -290,15 +276,22 @@ def _verify_branch(params: CurveParams, w: Witness) -> bool:
             and (t == 1 or floor_correction_vanishes(tr, i0, params))
         )
 
-    if br is Branch.POWER2_SPECIAL:
-        if p != 2 or q <= 2 or (n + 1) % q != 0:
-            return False
-        k = (n + 1) // q
-        if k % 2 != 0:  # odd k is n = q - 1 mod 2q: no witness there
-            return False
-        return w.i == q // 2 - 1 and w.floor_value == (q // 2 - 1) * k - 1
+    if br is Branch.BRUTE_FORCE:
+        return True
 
-    return False
+    if br is Branch.CASE_A_I1 or br is Branch.HALF_RANGE_I2 or br is Branch.MULTIPLIER_SEARCH:
+        # Floor one (so n < 2q) at i = ceil(q/n), plus one if p divides it; p odd unless q < n.
+        mu = -(-q // n)
+        if n > q:
+            label = Branch.CASE_A_I1
+        else:
+            label = Branch.HALF_RANGE_I2 if 2 * n > q else Branch.MULTIPLIER_SEARCH
+        return w.floor_value == 1 and w.i == mu + (mu % p == 0) and (p != 2 or n > q) and br is label
+
+    if br is not Branch.POWER2_SPECIAL or p != 2 or q <= 2 or (n + 1) % q != 0:
+        return False  # an unknown branch, or Power2Special off q | n + 1
+    k = (n + 1) // q  # odd k is n = q - 1 mod 2q: no witness there
+    return k % 2 == 0 and w.i == q // 2 - 1 and w.floor_value == (q // 2 - 1) * k - 1
 
 
 def verify_witness(params: CurveParams, w: Witness) -> bool:

@@ -9,6 +9,7 @@ from hodgecert import (
     HyperellipticExcludedError,
     InternalContradictionError,
     InternalInvariantError,
+    ParameterError,
     ProductHypothesisFailedError,
     Verdict,
     brute_force_witness,
@@ -169,6 +170,12 @@ class TestCenterDimProduct:
         for p in (41**2660, 1099511627791):
             with pytest.raises(BoundExceededError, match="p = "):
                 center_dim_product(p, 1)
+        # r is bounded too, before p**r is built or r is written in decimal;
+        # 3^26 is the first power of 3 above 2^40
+        for r in (10**7, 10**8, -(10**5000), 26):
+            with pytest.raises(ParameterError):
+                center_dim_product(3, r)
+        assert center_dim_product(3, 25) == 3**24
         assert time.monotonic() - start < 1.0
 
 

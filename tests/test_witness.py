@@ -326,6 +326,7 @@ FORGERIES = (
     "unknown branch",
     "MultiplierSearch range",
     "MultiplierSearch multiplier",
+    "MultiplierSearch at mu + 1",
     "ModularInverse with p | d",
     "ModularInverse with Bezout data",
     "Bezout with p coprime to d",
@@ -336,9 +337,8 @@ FORGERIES = (
 
 def forged_witnesses(params):
     """Yield (check, witness) forged to pass every check verify_witness makes
-    before the named one and to fail that one.  Two forgeries are valid by
-    design and left out: any verified witness relabelled BruteForce, and
-    MultiplierSearch at i = mu + 1."""
+    before the named one and to fail that one.  One forgery is valid by
+    design and left out: any verified witness relabelled BruteForce."""
     n, p, q = params.n, params.p, params.q
     d = derivation_trace(params).d
     oracle = brute_force_witness(params)
@@ -358,6 +358,8 @@ def forged_witnesses(params):
             yield "Power2Special off q | n + 1", replace(oracle, branch=Branch.POWER2_SPECIAL)
     if p != 2 and 2 * n < q:
         mu = -(-q // n)
+        if mu % p and (mu + 1) % p:  # floor(n*(mu + 1)/q) = 1, but mu is the smallest
+            yield "MultiplierSearch at mu + 1", Witness(mu + 1, 1, Branch.MULTIPLIER_SEARCH)
         for i in range(mu + 2, q):
             if i % p and math.gcd(n * i // q, n - 1) == 1:
                 yield "MultiplierSearch multiplier", Witness(i, n * i // q, Branch.MULTIPLIER_SEARCH)
@@ -402,14 +404,21 @@ def test_witness_and_certificate_bytes_pinned_on_small_grid():
     """Scan rows omit bezout and determinant_check; this pins every witness
     field, and the certificate carrying it, at each small_grid point."""
     digest = hashlib.sha256()
+    branches, bumped = set(), 0
     for params in small_grid():
         w = constructive_witness(params, classify(params))
         digest.update(render_json(None if w is None else witness_to_dict(w)))
         if params.q > 2:
             digest.update(render_json(certificate_to_dict(certify_single(params))))
+        if w is not None:
+            branches.add(w.branch)
+            bumped += w.branch is Branch.MULTIPLIER_SEARCH and w.i == -(-params.q // params.n) + 1
     assert digest.hexdigest() == (
         "397df21143cee3db9439b46a7ba89a3683ba626235adc38dc3f6f5eaecb4e4d4"
     )
+    # the pin covers every constructive branch, the floor-one rule's bump included
+    assert branches == set(Branch) - {Branch.BRUTE_FORCE}
+    assert bumped >= 1
 
 
 def test_no_witness_family_small():
