@@ -8,12 +8,11 @@ certificates with complete dimension ledgers.
 Each module's __all__ is its public API; the package re-exports them all.
 """
 
-from . import cm_type, errors, hodge_report, lie_combinatorics, params, scanner, witness
+from . import cm_type, errors, hodge_report, params, scanner, witness
 from ._version import __version__
 from .cm_type import *  # noqa: F403
 from .errors import *  # noqa: F403
 from .hodge_report import *  # noqa: F403
-from .lie_combinatorics import *  # noqa: F403
 from .params import *  # noqa: F403
 from .scanner import *  # noqa: F403
 from .witness import *  # noqa: F403
@@ -23,7 +22,6 @@ __all__ = [
     *cm_type.__all__,
     *errors.__all__,
     *hodge_report.__all__,
-    *lie_combinatorics.__all__,
     *params.__all__,
     *scanner.__all__,
     *witness.__all__,

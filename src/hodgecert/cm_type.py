@@ -1,26 +1,20 @@
-"""CM multiplicity system of the new part.
+"""CM multiplicity system of the new part: the O(q) oracle.
 
 For each residue i in [1, q-1] coprime to p, the multiplicity attached to
 the embedding sending a primitive q-th root of unity to its (-i)-th power
 is floor(n*i/q).  Complementary residues i and q - i pair up to
 d = n - 1, and the whole system sums to the dimension of the new part.
+The certifier never builds this system; the tests check its verdicts
+against it.
 """
 
 import math
 from dataclasses import dataclass
 
-from .errors import DegreeNotAboveQError, HyperellipticExcludedError, ParityImpossibleError
-from .lie_combinatorics import EigenPair, EigenSystem
+from .errors import DegreeNotAboveQError, HyperellipticExcludedError
 from .params import CurveParams
 
-__all__ = [
-    "CMType",
-    "as_eigen_system",
-    "jacobian_dim",
-    "multiplicities",
-    "new_part_dim",
-    "semisimplicity_criterion",
-]
+__all__ = ["CMType", "multiplicities", "semisimplicity_criterion"]
 
 
 @dataclass(frozen=True)
@@ -30,25 +24,6 @@ class CMType:
     d: int
     entries: dict[int, int]
     phi_q: int
-
-
-def jacobian_dim(params: CurveParams) -> int:
-    """Genus of the full curve: (n-1)(q-1)/2."""
-    prod = (params.n - 1) * (params.q - 1)
-    if prod % 2 != 0:
-        # q odd makes q-1 even; q even forces n odd.  Unreachable.
-        raise ParityImpossibleError(f"(n-1)(q-1) = {prod} is odd")
-    return prod // 2
-
-
-def new_part_dim(params: CurveParams) -> int:
-    """Dimension of the new part: (n-1) * phi(q) / 2.  Needs q > 2."""
-    if params.q == 2:
-        raise HyperellipticExcludedError("q = 2 has no new part distinct from the jacobian")
-    prod = (params.n - 1) * params.phi
-    if prod % 2 != 0:
-        raise ParityImpossibleError(f"(n-1)*phi(q) = {prod} is odd")  # phi(q) even for q > 2
-    return prod // 2
 
 
 def multiplicities(params: CurveParams) -> CMType:
@@ -89,12 +64,3 @@ def semisimplicity_criterion(cm: CMType) -> tuple[bool, int | None]:
             tau = i
             break
     return (distinct and positive and tau is not None, tau)
-
-
-def as_eigen_system(cm: CMType) -> EigenSystem:
-    """Export the multiplicity system in the generic eigenvalue-pair format."""
-    pairs = tuple(
-        EigenPair(label=i, n_val=cm.entries[i], m_val=cm.d - cm.entries[i])
-        for i in sorted(cm.entries)
-    )
-    return EigenSystem(d=cm.d, pairs=pairs)

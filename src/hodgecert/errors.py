@@ -3,16 +3,16 @@
 Two families matter to callers: ParameterError covers rejected inputs and
 operations applied outside their stated domain (CLI exit code 1), while
 InternalInvariantError covers conditions the underlying theorems guarantee,
-so raising one always indicates a bug (CLI exit code 2).
+so raising one always indicates a bug (CLI exit code 2).  Every class here
+is raised by the package; test-support code that needs its own errors
+(tests/lie_combinatorics.py) subclasses one of the two families.
 """
 
 __all__ = [
     "BoundExceededError",
-    "BoundViolatedError",
     "DegreeNotAboveQError",
     "DegreeTooSmallError",
     "DividesDegreeError",
-    "DuplicateMultiplicityError",
     "EquivalenceFailedError",
     "ExponentTooSmallError",
     "HyperellipticExcludedError",
@@ -25,7 +25,6 @@ __all__ = [
     "ParityImpossibleError",
     "PreconditionViolatedError",
     "ProductHypothesisFailedError",
-    "SelfConflictError",
 ]
 
 
@@ -69,24 +68,12 @@ class ProductHypothesisFailedError(ParameterError):
     """Product certification needs p odd, p coprime to n(n-1), and n > q."""
 
 
-class SelfConflictError(ParameterError):
-    """An eigenvalue system contains a pair with n_val == m_val."""
-
-
-class DuplicateMultiplicityError(ParameterError):
-    """An eigenvalue system repeats an n_val; the subset bound needs them distinct."""
-
-
 class InternalInvariantError(RuntimeError):
     """A theorem-guaranteed condition failed; this is a bug, not bad input."""
 
 
 class InternalContradictionError(InternalInvariantError):
     """Results the theory ties together disagree, e.g. both Bezout candidates failed."""
-
-
-class BoundViolatedError(InternalInvariantError):
-    """A maximal compatible subset missed the half-of-system cardinality bound."""
 
 
 class OracleDisagreementError(InternalInvariantError):

@@ -10,25 +10,23 @@ of the multi-level algebra, whose dimension is phi(p^r)/2.
 from dataclasses import dataclass
 from enum import Enum
 
-from .cm_type import new_part_dim
 from .errors import (
-    ExponentTooSmallError,
     HyperellipticExcludedError,
     InternalContradictionError,
     LevelInconclusiveError,
+    ParityImpossibleError,
     ProductHypothesisFailedError,
 )
 from .params import ConditionStatus, CurveParams, classify, validate
-from .params import _bounded_q, require_bounded, require_prime  # center_dim_product's bounds
 from .witness import Witness, constructive_witness
 
 __all__ = [
     "HodgeCertificate",
     "ProductCertificate",
     "Verdict",
-    "center_dim_product",
     "certify_product",
     "certify_single",
+    "new_part_dim",
     "unitary_dims",
 ]
 
@@ -89,6 +87,16 @@ def unitary_dims(params: CurveParams) -> tuple[int, int, int]:
     return dim_u, dim_c, dim_ss
 
 
+def new_part_dim(params: CurveParams) -> int:
+    """Dimension of the new part: (n-1) * phi(q) / 2.  Needs q > 2."""
+    if params.q == 2:
+        raise HyperellipticExcludedError("q = 2 has no new part distinct from the jacobian")
+    prod = (params.n - 1) * params.phi
+    if prod % 2 != 0:
+        raise ParityImpossibleError(f"(n-1)*phi(q) = {prod} is odd")  # phi(q) even for q > 2
+    return prod // 2
+
+
 def certify_single(params: CurveParams) -> HodgeCertificate:
     """Certify one level in O(log q).  Determined iff the sufficiency
     conditions hold; the dimension ledger is populated either way."""
@@ -124,21 +132,6 @@ def certificate_from_witness(
         dim_semisimple=dim_ss,
         conditions=conds,
     )
-
-
-def center_dim_product(p: int, r: int) -> int:
-    """Dimension phi(p^r)/2 of the multi-level center for odd p.
-
-    The center consists of trace-compatible tuples of purely imaginary
-    cyclotomic elements; each tuple is determined by its top component.
-    """
-    require_prime(p)
-    if p == 2:
-        raise ProductHypothesisFailedError("the multi-level center needs p odd")
-    require_bounded("r", r)
-    if r < 1:
-        raise ExponentTooSmallError(f"r = {r}; need r >= 1")
-    return _bounded_q(p, r) // p * (p - 1) // 2
 
 
 def certify_product(params: CurveParams) -> ProductCertificate:

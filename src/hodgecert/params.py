@@ -127,17 +127,13 @@ def validate(n: int, p: int, r: int) -> CurveParams:
         raise DegreeTooSmallError(f"n = {n}; the degree must be at least 4")
     if n % p == 0:
         raise DividesDegreeError(f"p = {p} divides n = {n}")
-    return CurveParams(n=n, p=p, r=r, q=_bounded_q(p, r))
-
-
-def _bounded_q(p: int, r: int) -> int:
-    """q = p^r, refused above 2^40; p >= 2, so r > 40 is refused before p**r."""
+    # q = p^r is refused above 2^40; p >= 2, so r > 40 is refused before p**r.
     if r > 40:
         raise BoundExceededError(f"q = {p}^{r} exceeds the supported bound 2^40")
     q = p**r
     if q > MAX_SUPPORTED:
         raise BoundExceededError(f"q = {p}^{r} = {q} exceeds the supported bound 2^40")
-    return q
+    return CurveParams(n=n, p=p, r=r, q=q)
 
 
 def prime_route_case(n: int, p: int, q: int) -> str | None:

@@ -249,10 +249,13 @@ def constructive_witness_q(params: CurveParams) -> Witness:
 
 
 def _verify_branch(params: CurveParams, w: Witness) -> bool:
-    """Branch-specific invariants, recomputed from scratch; frequent branches first."""
-    n, p, q = params.n, params.p, params.q
+    """Branch-specific invariants, recomputed from scratch; the oracle's
+    branch (one per scanned point) first, then frequent branches."""
     br = w.branch
+    if br is Branch.BRUTE_FORCE:
+        return True
 
+    n, p, q = params.n, params.p, params.q
     inverse = br is Branch.MODULAR_INVERSE
     if inverse or br is Branch.BEZOUT_CANDIDATE_0 or br is Branch.BEZOUT_CANDIDATE_1:
         tr = derivation_trace(params)
@@ -275,9 +278,6 @@ def _verify_branch(params: CurveParams, w: Witness) -> bool:
             and w.floor_value == tr.k * w.i + j
             and (t == 1 or floor_correction_vanishes(tr, i0, params))
         )
-
-    if br is Branch.BRUTE_FORCE:
-        return True
 
     if br is Branch.CASE_A_I1 or br is Branch.HALF_RANGE_I2 or br is Branch.MULTIPLIER_SEARCH:
         # Floor one (so n < 2q) at i = ceil(q/n), plus one if p divides it; p odd unless q < n.

@@ -1,31 +1,29 @@
-"""Curve-independent eigenvalue-multiplicity combinatorics.
+"""Curve-independent eigenvalue-multiplicity combinatorics, as test support.
 
 These checkers implement the arithmetic hypotheses behind the reductive
 Lie-algebra arguments: a coprime pair of multiplicities, complement-free
 multiplicity lists, and greedy selection of a compatible label subset
-that always covers at least half of the system.
+that always covers at least half of the system.  The certifier never
+calls them; the tests use them to cross-check the multiplicity system.
 """
 
 import math
 from dataclasses import dataclass
 from typing import Hashable, Sequence
 
-from .errors import (
-    BoundViolatedError,
-    DuplicateMultiplicityError,
-    ParameterError,
-    SelfConflictError,
-)
+from hodgecert import CMType, InternalInvariantError, ParameterError
 
-__all__ = [
-    "EigenPair",
-    "EigenSystem",
-    "complement_free_check",
-    "coprime_pair_check",
-    "eigen_system",
-    "greedy_compatible_subset",
-    "multiplicity_hypotheses",
-]
+
+class SelfConflictError(ParameterError):
+    """An eigenvalue system contains a pair with n_val == m_val."""
+
+
+class DuplicateMultiplicityError(ParameterError):
+    """An eigenvalue system repeats an n_val; the subset bound needs them distinct."""
+
+
+class BoundViolatedError(InternalInvariantError):
+    """A maximal compatible subset missed the half-of-system cardinality bound."""
 
 
 @dataclass(frozen=True)
@@ -127,3 +125,12 @@ def multiplicity_hypotheses(system: EigenSystem) -> bool:
     if any(pr.n_val < 1 or pr.m_val < 1 for pr in system.pairs):
         return False
     return any(math.gcd(pr.n_val, pr.m_val) == 1 for pr in system.pairs)
+
+
+def as_eigen_system(cm: CMType) -> EigenSystem:
+    """Export the multiplicity system in the generic eigenvalue-pair format."""
+    pairs = tuple(
+        EigenPair(label=i, n_val=cm.entries[i], m_val=cm.d - cm.entries[i])
+        for i in sorted(cm.entries)
+    )
+    return EigenSystem(d=cm.d, pairs=pairs)

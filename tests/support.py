@@ -5,7 +5,8 @@ import itertools
 
 from hypothesis import strategies as st
 
-from hodgecert import EigenPair, EigenSystem, validate
+from hodgecert import validate
+from lie_combinatorics import EigenPair, EigenSystem
 
 PRIMES = [2, 3, 5, 7, 11, 13]
 

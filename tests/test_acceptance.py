@@ -17,16 +17,13 @@ from hodgecert import (
     BezoutData,
     Branch,
     CurveParams,
-    EigenPair,
-    EigenSystem,
     ScanSpec,
     brute_force_witness,
-    center_dim_product,
+    certify_product,
     certify_single,
     classify,
     constructive_witness_prime,
     constructive_witness_q,
-    greedy_compatible_subset,
     is_prime,
     multiplicities,
     new_part_dim,
@@ -38,6 +35,7 @@ from hodgecert import (
 )
 from hodgecert.cli import main
 from cyclo_oracle import center_dimension_oracle, phi_count
+from lie_combinatorics import EigenPair, EigenSystem, greedy_compatible_subset
 from support import exhaustive_best_subset, pairs_valid
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -267,7 +265,9 @@ def test_criterion_8_cyclotomic_oracle_confirms_center_dimension():
     pairs = [(3, 1), (3, 2), (3, 3), (5, 1), (5, 2), (7, 1)]
     for p, r in pairs:
         from_oracle = center_dimension_oracle(p, r)
-        assert from_oracle == center_dim_product(p, r) == phi_count(p**r) // 2
+        # n = p^r + 2 meets the product hypotheses: p odd, p prime to n(n-1), n > q
+        from_package = certify_product(validate(p**r + 2, p, r)).dim_center_product
+        assert from_oracle == from_package == phi_count(p**r) // 2
     print(
         f"PASS criterion 8: exact cyclotomic linear algebra confirms the center "
         f"dimension at {len(pairs)} prime-power levels"

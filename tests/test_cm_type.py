@@ -6,15 +6,13 @@ from hypothesis import given, settings
 from hodgecert import (
     DegreeNotAboveQError,
     HyperellipticExcludedError,
-    as_eigen_system,
     brute_force_witness,
-    jacobian_dim,
     multiplicities,
-    multiplicity_hypotheses,
     new_part_dim,
     semisimplicity_criterion,
     validate,
 )
+from lie_combinatorics import as_eigen_system, multiplicity_hypotheses
 from support import valid_params
 
 
@@ -44,11 +42,6 @@ class TestMultiplicities:
 
 
 class TestDims:
-    def test_jacobian(self):
-        assert jacobian_dim(validate(5, 3, 1)) == 4
-        assert jacobian_dim(validate(4, 3, 1)) == 3
-        assert jacobian_dim(validate(7, 2, 2)) == 9
-
     def test_new_part(self):
         assert new_part_dim(validate(5, 3, 1)) == 4
         assert new_part_dim(validate(7, 2, 2)) == 6
@@ -117,4 +110,4 @@ def test_level_sum_telescopes():
     # summing new-part dims over q = p, ..., p^r recovers the full genus
     for n, p, r in ((11, 3, 2), (13, 3, 2), (31, 5, 2), (29, 3, 3)):
         total = sum(new_part_dim(validate(n, p, i)) for i in range(1, r + 1))
-        assert total == jacobian_dim(validate(n, p, r))
+        assert total == (n - 1) * (p**r - 1) // 2

@@ -1,19 +1,15 @@
 import dataclasses
-import time
 
 import pytest
 from hypothesis import given, settings
 
 from hodgecert import (
-    BoundExceededError,
     HyperellipticExcludedError,
     InternalContradictionError,
     InternalInvariantError,
-    ParameterError,
     ProductHypothesisFailedError,
     Verdict,
     brute_force_witness,
-    center_dim_product,
     certify_product,
     certify_single,
     classify,
@@ -153,32 +149,6 @@ class TestCertifyInvariants:
             certificate_from_witness(params, forged, witness)
 
 
-class TestCenterDimProduct:
-    def test_values(self):
-        assert center_dim_product(3, 1) == 1
-        assert center_dim_product(3, 2) == 3
-        assert center_dim_product(5, 1) == 2
-
-    def test_rejects_even(self):
-        with pytest.raises(ProductHypothesisFailedError):
-            center_dim_product(2, 3)
-
-    def test_bounds_p_before_primality(self):
-        # a 4,290-digit composite with no factor below 41, then the smallest
-        # prime above 2^40
-        start = time.monotonic()
-        for p in (41**2660, 1099511627791):
-            with pytest.raises(BoundExceededError, match="p = "):
-                center_dim_product(p, 1)
-        # r is bounded too, before p**r is built or r is written in decimal;
-        # 3^26 is the first power of 3 above 2^40
-        for r in (10**7, 10**8, -(10**5000), 26):
-            with pytest.raises(ParameterError):
-                center_dim_product(3, r)
-        assert center_dim_product(3, 25) == 3**24
-        assert time.monotonic() - start < 1.0
-
-
 class TestCertifyProduct:
     def test_example_11_3_2(self):
         cert = certify_product(validate(11, 3, 2))
@@ -222,7 +192,7 @@ class TestCertifyProduct:
             return
         cert = certify_product(params)
         assert len(cert.levels) == params.r
-        assert cert.dim_center_product == center_dim_product(params.p, params.r)
+        assert cert.dim_center_product == params.phi // 2
         assert cert.dim_total == cert.dim_center_product + sum(
             lv.dim_semisimple for lv in cert.levels
         )

@@ -10,21 +10,18 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hodgecert import (
+from hodgecert import ParameterError, multiplicities, semisimplicity_criterion, validate
+from lie_combinatorics import (
     DuplicateMultiplicityError,
     EigenPair,
     EigenSystem,
-    ParameterError,
     SelfConflictError,
     as_eigen_system,
     complement_free_check,
     coprime_pair_check,
     eigen_system,
     greedy_compatible_subset,
-    multiplicities,
     multiplicity_hypotheses,
-    semisimplicity_criterion,
-    validate,
 )
 from support import exhaustive_best_subset, pairs_valid
 

@@ -1,3 +1,4 @@
+import pkgutil
 import types
 
 import hodgecert
@@ -12,3 +13,36 @@ def test_all_names_every_public_name_once():
     }
     assert len(hodgecert.__all__) == len(set(hodgecert.__all__))
     assert set(hodgecert.__all__) == public | {"__version__"}
+
+
+def test_package_holds_only_what_the_certifier_runs():
+    """Test-only code lives in tests/: the module set is pinned, and the
+    names that moved to tests/lie_combinatorics.py or were deleted stay gone."""
+    modules = {m.name for m in pkgutil.iter_modules(hodgecert.__path__)}
+    assert modules == {
+        "__main__",
+        "_version",
+        "cli",
+        "cm_type",
+        "errors",
+        "hodge_report",
+        "params",
+        "scanner",
+        "witness",
+    }
+    removed = {
+        "BoundViolatedError",
+        "DuplicateMultiplicityError",
+        "EigenPair",
+        "EigenSystem",
+        "SelfConflictError",
+        "as_eigen_system",
+        "center_dim_product",
+        "complement_free_check",
+        "coprime_pair_check",
+        "eigen_system",
+        "greedy_compatible_subset",
+        "jacobian_dim",
+        "multiplicity_hypotheses",
+    }
+    assert not {name for name in removed if hasattr(hodgecert, name)}
