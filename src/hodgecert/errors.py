@@ -13,16 +13,13 @@ __all__ = [
     "DegreeNotAboveQError",
     "DegreeTooSmallError",
     "DividesDegreeError",
-    "EquivalenceFailedError",
     "ExponentTooSmallError",
     "HyperellipticExcludedError",
     "InternalContradictionError",
     "InternalInvariantError",
-    "LevelInconclusiveError",
     "NotPrimeError",
     "OracleDisagreementError",
     "ParameterError",
-    "ParityImpossibleError",
     "PreconditionViolatedError",
     "ProductHypothesisFailedError",
 ]
@@ -49,7 +46,7 @@ class ExponentTooSmallError(ParameterError):
 
 
 class BoundExceededError(ParameterError):
-    """n, q, or an intermediate product lies beyond the supported range."""
+    """An int of magnitude above 2^40, or a q above the exhaustive oracle's bound."""
 
 
 class HyperellipticExcludedError(ParameterError):
@@ -78,15 +75,3 @@ class InternalContradictionError(InternalInvariantError):
 
 class OracleDisagreementError(InternalInvariantError):
     """Constructive path and exhaustive oracle disagree at some grid point."""
-
-
-class EquivalenceFailedError(InternalInvariantError):
-    """A claimed arithmetic equivalence has a counterexample."""
-
-
-class LevelInconclusiveError(InternalInvariantError):
-    """A per-level certificate came back undetermined despite product hypotheses."""
-
-
-class ParityImpossibleError(InternalInvariantError):
-    """A dimension formula produced an odd numerator; cannot happen for valid params."""

@@ -13,8 +13,6 @@ from enum import Enum
 from .errors import (
     HyperellipticExcludedError,
     InternalContradictionError,
-    LevelInconclusiveError,
-    ParityImpossibleError,
     ProductHypothesisFailedError,
 )
 from .params import ConditionStatus, CurveParams, classify, validate
@@ -93,7 +91,7 @@ def new_part_dim(params: CurveParams) -> int:
         raise HyperellipticExcludedError("q = 2 has no new part distinct from the jacobian")
     prod = (params.n - 1) * params.phi
     if prod % 2 != 0:
-        raise ParityImpossibleError(f"(n-1)*phi(q) = {prod} is odd")  # phi(q) even for q > 2
+        raise InternalContradictionError(f"(n-1)*phi(q) = {prod} is odd")  # phi(q) even for q > 2
     return prod // 2
 
 
@@ -151,7 +149,7 @@ def certify_product(params: CurveParams) -> ProductCertificate:
     levels = tuple(certify_single(validate(n, p, i)) for i in range(1, r + 1))
     for i, cert in enumerate(levels, start=1):
         if cert.verdict is not Verdict.DETERMINED:
-            raise LevelInconclusiveError(f"level q = {p}^{i} came back {cert.verdict.value}")
+            raise InternalContradictionError(f"level q = {p}^{i} came back {cert.verdict.value}")
 
     # A trace-compatible tuple is determined by its top component, so the
     # multi-level center is the top level's center, of dimension phi(p^r)/2.

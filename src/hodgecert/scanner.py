@@ -18,8 +18,8 @@ from json.encoder import encode_basestring_ascii
 from ._version import __version__
 from .errors import (
     BoundExceededError,
-    EquivalenceFailedError,
     ExponentTooSmallError,
+    InternalContradictionError,
     OracleDisagreementError,
     ParameterError,
 )
@@ -418,7 +418,7 @@ def run_remark_check(n_max: int) -> dict:
     """Verify that at (p, q) = (2, 4) the general witness route applies
     exactly for n congruent to 7 modulo 8, over all odd n in [5, n_max].
 
-    Raises EquivalenceFailedError with the first counterexample.
+    Raises InternalContradictionError with the first counterexample.
     """
     require_bounded("n_max", n_max)
     if n_max < 9:
@@ -428,7 +428,7 @@ def run_remark_check(n_max: int) -> dict:
         applicable = classify(validate(n, 2, 2)).witness_q_applicable
         expected = n % 8 == 7
         if applicable != expected:
-            raise EquivalenceFailedError(f"counterexample n = {n}")
+            raise InternalContradictionError(f"counterexample n = {n}")
         if applicable:
             matching.append(n)
     return {

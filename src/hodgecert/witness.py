@@ -23,7 +23,6 @@ from .errors import (
     BoundExceededError,
     InternalContradictionError,
     InternalInvariantError,
-    ParameterError,
     PreconditionViolatedError,
 )
 from .params import ConditionStatus, CurveParams, prime_route_case, q_route_applies
@@ -39,12 +38,8 @@ __all__ = [
     "constructive_witness_q",
     "derivation_trace",
     "floor_correction_vanishes",
-    "floor_mult",
     "verify_witness",
 ]
-
-# floor_mult guards its product at 2^128; validated params keep n*i < 2^80.
-MAX_PRODUCT = 1 << 128
 
 # Largest q the exhaustive oracle scans (about 0.2 us per i, so seconds here).
 MAX_ORACLE_Q = 1 << 24
@@ -115,18 +110,6 @@ class DerivationTrace:
         )
 
 
-def floor_mult(n: int, i: int, q: int) -> int:
-    """floor(n*i/q) by exact integer arithmetic."""
-    if n < 1 or i < 1:
-        raise ParameterError(f"floor_mult needs n, i >= 1; got n = {n}, i = {i}")
-    if q < 2:
-        raise ParameterError(f"floor_mult needs q >= 2; got q = {q}")
-    prod = n * i
-    if prod > MAX_PRODUCT:
-        raise BoundExceededError(f"n*i = {prod} exceeds the supported product bound")
-    return prod // q
-
-
 def derivation_trace(params: CurveParams) -> DerivationTrace:
     """Compute k, c, d, t, d', q' for params."""
     q = params.q
@@ -195,7 +178,7 @@ def constructive_witness_prime(params: CurveParams) -> Witness:
             branch = Branch.CASE_A_I1
         else:
             branch = Branch.HALF_RANGE_I2 if 2 * n > q else Branch.MULTIPLIER_SEARCH
-        w = Witness(i=i, floor_value=floor_mult(n, i, q), branch=branch)
+        w = Witness(i=i, floor_value=n * i // q, branch=branch)
     else:
         # Remaining range: n > 2q with p coprime to n - 1, hence to d, so t = 1.
         w = _inverse_witness(params, derivation_trace(params))
@@ -223,7 +206,7 @@ def _inverse_witness(params: CurveParams, tr: DerivationTrace) -> Witness:
 
     for eps, branch in candidates:
         i = i0 + eps * qp
-        fv = floor_mult(n, i, q)
+        fv = n * i // q
         if math.gcd(fv, n - 1) == 1:
             det = tr.d * i - q * (j0 + eps * dp)
             return Witness(i=i, floor_value=fv, branch=branch, bezout=bez, determinant_check=det)
@@ -242,7 +225,7 @@ def constructive_witness_q(params: CurveParams) -> Witness:
         )
     if p == 2 and (n + 1) % q == 0:  # then d = q - 2, so p | d; take i = q/2 - 1
         i = q // 2 - 1
-        w = Witness(i=i, floor_value=floor_mult(n, i, q), branch=Branch.POWER2_SPECIAL)
+        w = Witness(i=i, floor_value=n * i // q, branch=Branch.POWER2_SPECIAL)
     else:
         w = _inverse_witness(params, derivation_trace(params))
     return _verified(params, w)

@@ -118,6 +118,39 @@ class TestInternalErrors:
         assert captured.out == ""
         assert "oracle found no witness at n=5, p=3, r=1" in captured.err
 
+    def test_scan_failing_partway_exits_2_and_keeps_out(self, tmp_path, capsysbinary, monkeypatch):
+        import hodgecert.scanner
+
+        real = hodgecert.scanner.brute_force_witness
+        calls = []
+
+        def fails_at_fourth_point(params):
+            calls.append(params)
+            if len(calls) == 4:
+                raise hodgecert.InternalInvariantError(f"injected at n={params.n}")
+            return real(params)
+
+        monkeypatch.setattr(hodgecert.scanner, "brute_force_witness", fails_at_fourth_point)
+        # 48 points; the oracle answers for three of them, then fails
+        grid = ["scan", "--n-min", "5", "--n-max", "40", "--primes", "3", "--r-max", "2"]
+        assert main(grid) == 2
+        captured = capsysbinary.readouterr()
+        assert captured.out == b""
+        assert captured.err == b"internal invariant violation: injected at n=10\n"
+        assert len(calls) == 4
+
+        # an existing --out file keeps its bytes and mode, and no temp file is left
+        calls.clear()
+        target = tmp_path / "report.json"
+        target.write_bytes(b"old\n")
+        target.chmod(0o640)
+        assert main([*grid, "--out", str(target)]) == 2
+        assert capsysbinary.readouterr().out == b""
+        assert len(calls) == 4
+        assert target.read_bytes() == b"old\n"
+        assert target.stat().st_mode & 0o777 == 0o640
+        assert [f.name for f in tmp_path.iterdir()] == ["report.json"]
+
 
 class TestOracleBound:
     # witness-free point with q = 3^24: the exhaustive oracle is refused up front

@@ -35,12 +35,16 @@ def test_package_holds_only_what_the_certifier_runs():
         "DuplicateMultiplicityError",
         "EigenPair",
         "EigenSystem",
+        "EquivalenceFailedError",
+        "LevelInconclusiveError",
+        "ParityImpossibleError",
         "SelfConflictError",
         "as_eigen_system",
         "center_dim_product",
         "complement_free_check",
         "coprime_pair_check",
         "eigen_system",
+        "floor_mult",
         "greedy_compatible_subset",
         "jacobian_dim",
         "multiplicity_hypotheses",

@@ -220,17 +220,29 @@ class TestSerialization:
             assert rows_to_json_bytes(rows) == json_reference(rows)
 
     def test_benchmark_grid_bytes(self):
-        # the benchmark's 33,848-row grid; hashes taken before rows were tuples
+        # the benchmark's 33,848-row grid, all three methods in both formats; the
+        # both/JSON and constructive/CSV hashes predate tuple rows, the other four
+        # predate the builders writing floors as n * i // q
+        expected = {
+            "constructive": (
+                "5b368d95388450a157e5c8294c4c0771d27351c8253981e1392a1e941a980cf2",
+                "8ad8e27d26a7e416a4f12d96a50df0a4133c0a895d3cc800753001a8d176f15b",
+            ),
+            "brute": (
+                "7963033a32c65a0d294726a6b21a76ba8cb5663b66a0c319c7613a287eb7d4bf",
+                "61555e19b9f04785f4d2a0ccd5bf4532ab3e26f47bfae3d1898a8828cc84f79c",
+            ),
+            "both": (
+                "5ebe6aef9226e530ba107607982b03bb2296f8d6457783b802431e5fb7e940ca",
+                "af65518cf16c801a0d5575a18322aa66a984ce5ba180deb1d47d216316e6dbcd",
+            ),
+        }
         spec = ScanSpec(4, 3000, (2, 3, 5, 7), 4)
-        _rows, payload = run_scan(spec, method="both")
-        assert hashlib.sha256(payload).hexdigest() == (
-            "5ebe6aef9226e530ba107607982b03bb2296f8d6457783b802431e5fb7e940ca"
-        )
-        spec = ScanSpec(4, 3000, (2, 3, 5, 7), 4, format="csv")
-        _rows, payload = run_scan(spec, method="constructive")
-        assert hashlib.sha256(payload).hexdigest() == (
-            "8ad8e27d26a7e416a4f12d96a50df0a4133c0a895d3cc800753001a8d176f15b"
-        )
+        for method, (json_sha, csv_sha) in expected.items():
+            rows = build_rows(spec, method)
+            assert len(rows) == 33848
+            assert hashlib.sha256(rows_to_json_bytes(rows)).hexdigest() == json_sha, method
+            assert hashlib.sha256(rows_to_csv_bytes(rows)).hexdigest() == csv_sha, method
 
     def test_json_envelope(self):
         _rows, payload = run_scan(ScanSpec(5, 7, (3,), 1))

@@ -14,7 +14,6 @@ from hodgecert import (
     Branch,
     CurveParams,
     InternalInvariantError,
-    ParameterError,
     PreconditionViolatedError,
     Witness,
     brute_force_witness,
@@ -26,7 +25,6 @@ from hodgecert import (
     constructive_witness_q,
     derivation_trace,
     floor_correction_vanishes,
-    floor_mult,
     render_json,
     validate,
     verify_witness,
@@ -34,34 +32,6 @@ from hodgecert import (
 )
 from hodgecert.witness import MAX_ORACLE_Q
 from support import small_grid, valid_params
-
-
-class TestFloorMult:
-    def test_examples(self):
-        assert floor_mult(5, 1, 3) == 1
-        assert floor_mult(15, 3, 8) == 5
-        assert floor_mult(19, 7, 9) == 14
-
-    def test_rejects_bad_arguments(self):
-        with pytest.raises(ParameterError):
-            floor_mult(0, 1, 3)
-        with pytest.raises(ParameterError):
-            floor_mult(5, 0, 3)
-        with pytest.raises(ParameterError):
-            floor_mult(5, 1, 1)
-
-    def test_product_bound(self):
-        with pytest.raises(BoundExceededError):
-            floor_mult(1 << 70, 1 << 70, 7)
-
-    @settings(max_examples=200)
-    @given(
-        st.integers(min_value=1, max_value=10**12),
-        st.integers(min_value=1, max_value=10**12),
-        st.integers(min_value=2, max_value=10**12),
-    )
-    def test_matches_integer_division(self, n, i, q):
-        assert floor_mult(n, i, q) == (n * i) // q
 
 
 class TestDerivationTrace:
@@ -441,7 +411,7 @@ def test_complement_symmetry(params, raw_i):
     i = raw_i % q
     if i == 0 or i % p == 0:
         return
-    assert floor_mult(n, i, q) + floor_mult(n, q - i, q) == n - 1
+    assert n * i // q + n * (q - i) // q == n - 1
 
 
 @settings(max_examples=300)
