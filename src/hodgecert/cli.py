@@ -16,15 +16,13 @@ from .scanner import (
     METHODS,
     ScanSpec,
     atomic_write,
-    certificate_to_dict,
     method_witnesses,
-    product_to_dict,
     render_json,
     report_envelope,
     run_cross_validate,
     run_remark_check,
     run_scan,
-    witness_to_dict,
+    to_report,
 )
 
 
@@ -91,10 +89,10 @@ def _spec(args: argparse.Namespace, **extra) -> ScanSpec:
 def cmd_certify(args: argparse.Namespace) -> bytes:
     params = validate(args.n, args.p, args.r)
     if args.product:
-        key, body = "product_certificate", product_to_dict(certify_product(params))
+        key, cert = "product_certificate", certify_product(params)
     else:
-        key, body = "certificate", certificate_to_dict(certify_single(params))
-    return render_json(report_envelope(key, body))
+        key, cert = "certificate", certify_single(params)
+    return render_json(report_envelope(key, to_report(cert)))
 
 
 def cmd_scan(args: argparse.Namespace) -> bytes:
@@ -109,14 +107,11 @@ def cmd_witness(args: argparse.Namespace) -> bytes:
     if args.method == "brute":
         constructive = None
     body = {
-        "n": params.n,
-        "p": params.p,
-        "r": params.r,
-        "q": params.q,
+        **to_report(params),
         "witness_prime_applicable": conds.witness_prime_applicable,
         "witness_q_applicable": conds.witness_q_applicable,
-        "constructive": None if constructive is None else witness_to_dict(constructive),
-        "brute_force": None if brute is None else witness_to_dict(brute),
+        "constructive": to_report(constructive),
+        "brute_force": to_report(brute),
     }
     return render_json(report_envelope("witness_report", body))
 

@@ -54,24 +54,25 @@ ISOGENY_NOTE = (
 
 @dataclass(frozen=True)
 class HodgeCertificate:
+    # Fields in report order, here and below: scanner.to_report writes them as declared.
     params: CurveParams
     verdict: Verdict
-    assumption_note: str
+    assumption: str
+    conditions: ConditionStatus
     witness: Witness | None
     dim_abelian_variety: int
     dim_unitary: int
     dim_center: int
     dim_semisimple: int
-    conditions: ConditionStatus
 
 
 @dataclass(frozen=True)
 class ProductCertificate:
     params: CurveParams
-    levels: tuple[HodgeCertificate, ...]
     dim_center_product: int
     dim_total: int
     isogeny_note: str
+    levels: tuple[HodgeCertificate, ...]
 
 
 def unitary_dims(params: CurveParams) -> tuple[int, int, int]:
@@ -122,13 +123,13 @@ def certificate_from_witness(
     return HodgeCertificate(
         params=params,
         verdict=verdict,
-        assumption_note=GALOIS_ASSUMPTION,
+        assumption=GALOIS_ASSUMPTION,
+        conditions=conds,
         witness=witness if verdict is Verdict.DETERMINED else None,
         dim_abelian_variety=new_part_dim(params),
         dim_unitary=dim_u,
         dim_center=dim_c,
         dim_semisimple=dim_ss,
-        conditions=conds,
     )
 
 
@@ -157,8 +158,8 @@ def certify_product(params: CurveParams) -> ProductCertificate:
     total = center + sum(cert.dim_semisimple for cert in levels)
     return ProductCertificate(
         params=params,
-        levels=levels,
         dim_center_product=center,
         dim_total=total,
         isogeny_note=ISOGENY_NOTE,
+        levels=levels,
     )

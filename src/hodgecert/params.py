@@ -94,16 +94,17 @@ class CurveParams:
 class ConditionStatus:
     """Outcome of classify(): which sufficiency conditions hold at (n, p, q).
 
-    holds_A / holds_B / holds_C are the three alternative conditions of the
-    determination criterion; theorem_applicable requires n > q together with
-    at least one of them.  The witness_* flags report whether the respective
+    A / B / C are the three alternative conditions of the determination
+    criterion (the scan columns holds_A..holds_C); theorem_applicable
+    requires n > q together with at least one of them.  The field order is
+    the report order.  The witness_* flags report whether the respective
     constructive witness routine applies, and product_applicable whether the
     multi-level (product) certification hypotheses on p hold.
     """
 
-    holds_A: bool
-    holds_B: bool
-    holds_C: bool
+    A: bool
+    B: bool
+    C: bool
     n_gt_q: bool
     witness_prime_applicable: bool
     witness_prime_case: str | None
@@ -164,9 +165,9 @@ def classify(params: CurveParams) -> ConditionStatus:
     case = prime_route_case(n, p, q)
 
     return ConditionStatus(
-        holds_A=holds_a,
-        holds_B=holds_b,
-        holds_C=holds_c,
+        A=holds_a,
+        B=holds_b,
+        C=holds_c,
         n_gt_q=n_gt_q,
         witness_prime_applicable=case is not None,
         witness_prime_case=case,

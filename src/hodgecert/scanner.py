@@ -1,9 +1,9 @@
 """Grid scanning and deterministic report serialization.
 
-Every writer here is reproducible: rows are generated in sorted (p, r, n)
-order, serialized with a fixed field order and no timestamps, and written
-atomically (temp file + rename) so an interrupted run never leaves a
-partial report behind.
+Scan rows have one field table, CSV_COLUMNS, and are built in sorted
+(p, r, n) order; every other report is its dataclass's fields in
+declaration order, written by to_report.  No report carries a timestamp,
+and atomic_write never leaves a partial file behind.
 """
 
 import csv
@@ -12,7 +12,8 @@ import json
 import os
 import stat
 from collections import namedtuple
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
+from enum import Enum
 from json.encoder import encode_basestring_ascii
 
 from ._version import __version__
@@ -25,7 +26,6 @@ from .errors import (
 )
 from .hodge_report import (
     HodgeCertificate,
-    ProductCertificate,
     Verdict,
     certificate_from_witness,
     certify_single,  # noqa: F401  (perfbench's tracer test reads scanner.certify_single)
@@ -54,10 +54,7 @@ __all__ = [
     "ScanSpec",
     "atomic_write",
     "build_rows",
-    "certificate_to_dict",
     "compute_row",
-    "conditions_to_dict",
-    "product_to_dict",
     "render_json",
     "report_envelope",
     "row_to_dict",
@@ -66,7 +63,7 @@ __all__ = [
     "run_cross_validate",
     "run_remark_check",
     "run_scan",
-    "witness_to_dict",
+    "to_report",
 ]
 
 SCHEMA_VERSION = "1"
@@ -127,64 +124,25 @@ class ScanSpec:
 # ---------- serialization ----------
 
 
-def witness_to_dict(w: Witness) -> dict:
-    return {
-        "i": w.i,
-        "floor_value": w.floor_value,
-        "branch": w.branch.value,
-        "determinant_check": w.determinant_check,
-        "bezout": (
-            None
-            if w.bezout is None
-            else {"d_prime": w.bezout.d_prime, "q_prime": w.bezout.q_prime, "j": w.bezout.j}
-        ),
-    }
-
-
-def conditions_to_dict(cs: ConditionStatus) -> dict:
-    return {
-        "A": cs.holds_A,
-        "B": cs.holds_B,
-        "C": cs.holds_C,
-        "n_gt_q": cs.n_gt_q,
-        "witness_prime_applicable": cs.witness_prime_applicable,
-        "witness_prime_case": cs.witness_prime_case,
-        "witness_q_applicable": cs.witness_q_applicable,
-        "theorem_applicable": cs.theorem_applicable,
-        "product_applicable": cs.product_applicable,
-    }
-
-
-def certificate_to_dict(cert: HodgeCertificate) -> dict:
-    pr = cert.params
-    return {
-        "n": pr.n,
-        "p": pr.p,
-        "r": pr.r,
-        "q": pr.q,
-        "verdict": cert.verdict.value,
-        "assumption": cert.assumption_note,
-        "conditions": conditions_to_dict(cert.conditions),
-        "witness": None if cert.witness is None else witness_to_dict(cert.witness),
-        "dim_abelian_variety": cert.dim_abelian_variety,
-        "dim_unitary": cert.dim_unitary,
-        "dim_center": cert.dim_center,
-        "dim_semisimple": cert.dim_semisimple,
-    }
-
-
-def product_to_dict(cert: ProductCertificate) -> dict:
-    pr = cert.params
-    return {
-        "n": pr.n,
-        "p": pr.p,
-        "r": pr.r,
-        "q": pr.q,
-        "dim_center_product": cert.dim_center_product,
-        "dim_total": cert.dim_total,
-        "isogeny_note": cert.isogeny_note,
-        "levels": [certificate_to_dict(lv) for lv in cert.levels],
-    }
+def to_report(obj):
+    """A report dataclass as a dict of its fields in declaration order, the
+    one field table of every certificate, witness and condition report.  A
+    CurveParams field is flattened to n, p, r, q; enums are written by value,
+    tuples as lists, nested dataclasses as reports, anything else as it is."""
+    if isinstance(obj, Enum):
+        return obj.value
+    if isinstance(obj, tuple):
+        return [to_report(v) for v in obj]
+    if not is_dataclass(obj):
+        return obj
+    report = {}
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        if isinstance(value, CurveParams):
+            report.update(to_report(value))
+        else:
+            report[f.name] = to_report(value)
+    return report
 
 
 def row_to_dict(
@@ -206,9 +164,9 @@ def row_to_dict(
         params.p,
         params.r,
         params.q,
-        conds.holds_A,
-        conds.holds_B,
-        conds.holds_C,
+        conds.A,
+        conds.B,
+        conds.C,
         None if constructive is None else constructive.i,
         None if constructive is None else constructive.branch.value,
         None if brute is None else brute.i,
@@ -301,11 +259,13 @@ def rows_to_json_bytes(rows: list[ScanRow]) -> bytes:
 def atomic_write(path: str, data: bytes) -> None:
     """Write via a temp file in the target directory, then rename into place.
 
-    The file ends up with the mode open(path, "wb") would leave: an existing
-    target keeps its permission bits, a new one gets 0o666 less the umask.
+    A symlink is written through, as open(path, "wb") would: the file it
+    points to is replaced and the link is kept.  The file ends up with the
+    mode open would leave: an existing target keeps its permission bits, a
+    new one gets 0o666 less the umask.
     """
-    directory = os.path.dirname(os.path.abspath(path))
-    tmp = os.path.join(directory, f".hodgecert-{os.urandom(8).hex()}.tmp")
+    path = os.path.realpath(path)
+    tmp = os.path.join(os.path.dirname(path), f".hodgecert-{os.urandom(8).hex()}.tmp")
     # O_EXCL: never reuse a file; mode 0o666 is masked by the umask, as in open().
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:

@@ -71,11 +71,12 @@ class BezoutData:
 
 @dataclass(frozen=True)
 class Witness:
+    # Fields in report order: scanner.to_report writes them as declared.
     i: int
     floor_value: int
     branch: Branch
-    bezout: BezoutData | None = None
     determinant_check: int | None = None
+    bezout: BezoutData | None = None
 
 
 @dataclass(frozen=True)

@@ -223,6 +223,12 @@ class TestLargeInputs:
 
 
 class TestWitness:
+    def test_golden_bytes(self, capsys):
+        """A BezoutCandidate1 witness, so bezout and determinant_check are set."""
+        assert main(["witness", "--n", "31", "--p", "3", "--r", "2"]) == 0
+        golden = Path(__file__).parent / "golden" / "witness_31_3_2.json"
+        assert capsys.readouterr().out == golden.read_text()
+
     def test_both_methods(self, capsys):
         doc = run_json(capsys, ["witness", "--n", "31", "--p", "3", "--r", "2"])
         body = doc["witness_report"]

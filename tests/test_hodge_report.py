@@ -48,7 +48,7 @@ class TestCertifySingle:
         assert cert.dim_abelian_variety == 4
         assert (cert.dim_unitary, cert.dim_center, cert.dim_semisimple) == (16, 1, 15)
         assert cert.witness is not None and cert.witness.i == 1
-        assert "S_n" in cert.assumption_note
+        assert "S_n" in cert.assumption
 
     def test_determined_even_p(self):
         cert = certify_single(validate(7, 2, 2))

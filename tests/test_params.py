@@ -123,30 +123,30 @@ def test_huge_int_refused_as_parameter_error(call):
 class TestClassify:
     def test_example_5_3_1(self):
         cs = classify(validate(5, 3, 1))
-        assert cs.holds_A and cs.holds_B and not cs.holds_C
+        assert cs.A and cs.B and not cs.C
         assert cs.theorem_applicable
 
     def test_example_19_3_2(self):
         cs = classify(validate(19, 3, 2))
-        assert not cs.holds_A  # 19 >= 18
-        assert not cs.holds_B  # 19 = 1 mod 9
-        assert not cs.holds_C
+        assert not cs.A  # 19 >= 18
+        assert not cs.B  # 19 = 1 mod 9
+        assert not cs.C
         assert not cs.theorem_applicable
 
     def test_example_15_2_3(self):
         # 8 < 15 < 16, so A holds by its literal definition; C holds since
         # 15 != 1 mod 8 and 15 != 7 mod 16.
         cs = classify(validate(15, 2, 3))
-        assert cs.holds_A
-        assert cs.holds_C
-        assert not cs.holds_B
+        assert cs.A
+        assert cs.C
+        assert not cs.B
         assert cs.theorem_applicable
 
     def test_q2_conditions(self):
         # At q = 2 every odd n is 1 mod q, so B and C can never hold.
         for n in (5, 7, 9, 11):
             cs = classify(validate(n, 2, 1))
-            assert not cs.holds_A and not cs.holds_B and not cs.holds_C
+            assert not cs.A and not cs.B and not cs.C
             assert not cs.theorem_applicable
 
     def test_witness_prime_cases(self):
@@ -172,8 +172,8 @@ class TestClassify:
 @given(valid_params())
 def test_condition_a_literal(params):
     cs = classify(params)
-    assert cs.holds_A == (params.q < params.n < 2 * params.q)
-    if cs.holds_A:
+    assert cs.A == (params.q < params.n < 2 * params.q)
+    if cs.A:
         assert cs.n_gt_q
 
 
@@ -182,10 +182,10 @@ def test_condition_a_literal(params):
 def test_theorem_flag_composition(params):
     cs = classify(params)
     assert cs.theorem_applicable == (
-        cs.n_gt_q and (cs.holds_A or cs.holds_B or cs.holds_C)
+        cs.n_gt_q and (cs.A or cs.B or cs.C)
     )
     # B and C are mutually exclusive by the parity of p.
-    assert not (cs.holds_B and cs.holds_C)
+    assert not (cs.B and cs.C)
 
 
 @settings(max_examples=200)
@@ -197,9 +197,17 @@ def test_classify_pure(params):
 @settings(max_examples=200)
 @given(valid_params())
 def test_theorem_implies_some_witness_route(params):
+    """Each condition is a witness route, in both directions: A is the
+    odd-prime route's case i, B the prime-power route at odd p, C at p = 2."""
     cs = classify(params)
     if cs.theorem_applicable:
         assert cs.witness_prime_applicable or cs.witness_q_applicable
+    assert cs.A == (cs.witness_prime_case == "i")
+    assert cs.B == (params.p % 2 == 1 and cs.witness_q_applicable)
+    assert cs.C == (params.p == 2 and cs.witness_q_applicable)
+    assert cs.theorem_applicable == (
+        cs.n_gt_q and (cs.witness_prime_applicable or cs.witness_q_applicable)
+    )
 
 
 @settings(max_examples=200)

@@ -318,6 +318,19 @@ class TestAtomicWrite:
         assert target.read_bytes() == b"{}\n"
         assert target.stat().st_mode & 0o777 == 0o640
 
+    def test_symlink_is_written_through(self, tmp_path):
+        (tmp_path / "real").mkdir()
+        target = tmp_path / "real" / "target.json"
+        target.write_bytes(b"old\n")
+        target.chmod(0o640)
+        link = tmp_path / "link.json"
+        link.symlink_to(target)
+        atomic_write(str(link), b"{}\n")
+        assert link.is_symlink()
+        assert target.read_bytes() == b"{}\n"
+        assert target.stat().st_mode & 0o777 == 0o640
+        assert list(tmp_path.rglob(".hodgecert-*.tmp")) == []
+
     def test_scan_writes_payload(self, tmp_path):
         target = tmp_path / "report.csv"
         spec = ScanSpec(5, 10, (3,), 1, output_path=str(target), format="csv")

@@ -17,7 +17,6 @@ from hodgecert import (
     PreconditionViolatedError,
     Witness,
     brute_force_witness,
-    certificate_to_dict,
     certify_single,
     classify,
     constructive_witness,
@@ -26,9 +25,9 @@ from hodgecert import (
     derivation_trace,
     floor_correction_vanishes,
     render_json,
+    to_report,
     validate,
     verify_witness,
-    witness_to_dict,
 )
 from hodgecert.witness import MAX_ORACLE_Q
 from support import small_grid, valid_params
@@ -377,9 +376,9 @@ def test_witness_and_certificate_bytes_pinned_on_small_grid():
     branches, bumped = set(), 0
     for params in small_grid():
         w = constructive_witness(params, classify(params))
-        digest.update(render_json(None if w is None else witness_to_dict(w)))
+        digest.update(render_json(to_report(w)))
         if params.q > 2:
-            digest.update(render_json(certificate_to_dict(certify_single(params))))
+            digest.update(render_json(to_report(certify_single(params))))
         if w is not None:
             branches.add(w.branch)
             bumped += w.branch is Branch.MULTIPLIER_SEARCH and w.i == -(-params.q // params.n) + 1
