@@ -11,7 +11,7 @@ against it.
 import math
 from dataclasses import dataclass
 
-from .errors import DegreeNotAboveQError, HyperellipticExcludedError
+from .errors import ParameterError
 from .params import CurveParams
 
 __all__ = ["CMType", "multiplicities", "semisimplicity_criterion"]
@@ -30,9 +30,9 @@ def multiplicities(params: CurveParams) -> CMType:
     """Build the full multiplicity system.  Needs n > q and q > 2."""
     n, p, q = params.n, params.p, params.q
     if q == 2:
-        raise HyperellipticExcludedError("q = 2 is outside the certification scope")
+        raise ParameterError("q = 2 is outside the certification scope")
     if n <= q:
-        raise DegreeNotAboveQError(f"need n > q; got n = {n}, q = {q}")
+        raise ParameterError(f"need n > q; got n = {n}, q = {q}")
 
     entries = {i: n * i // q for i in range(1, q) if i % p != 0}
     phi = params.phi

@@ -10,11 +10,7 @@ of the multi-level algebra, whose dimension is phi(p^r)/2.
 from dataclasses import dataclass
 from enum import Enum
 
-from .errors import (
-    HyperellipticExcludedError,
-    InternalContradictionError,
-    ProductHypothesisFailedError,
-)
+from .errors import InternalInvariantError, ParameterError
 from .params import ConditionStatus, CurveParams, classify, validate
 from .witness import Witness, constructive_witness
 
@@ -89,10 +85,10 @@ def unitary_dims(params: CurveParams) -> tuple[int, int, int]:
 def new_part_dim(params: CurveParams) -> int:
     """Dimension of the new part: (n-1) * phi(q) / 2.  Needs q > 2."""
     if params.q == 2:
-        raise HyperellipticExcludedError("q = 2 has no new part distinct from the jacobian")
+        raise ParameterError("q = 2 has no new part distinct from the jacobian")
     prod = (params.n - 1) * params.phi
     if prod % 2 != 0:
-        raise InternalContradictionError(f"(n-1)*phi(q) = {prod} is odd")  # phi(q) even for q > 2
+        raise InternalInvariantError(f"(n-1)*phi(q) = {prod} is odd")  # phi(q) even for q > 2
     return prod // 2
 
 
@@ -100,7 +96,7 @@ def certify_single(params: CurveParams) -> HodgeCertificate:
     """Certify one level in O(log q).  Determined iff the sufficiency
     conditions hold; the dimension ledger is populated either way."""
     if params.q == 2:
-        raise HyperellipticExcludedError("q = 2 certificates are out of scope")
+        raise ParameterError("q = 2 certificates are out of scope")
     conds = classify(params)
     return certificate_from_witness(params, conds, constructive_witness(params, conds))
 
@@ -115,7 +111,7 @@ def certificate_from_witness(
     is conds.theorem_applicable (odd p: prime-power route = B, odd-prime case
     i = A, case ii implies B; p = 2: odd-prime = A, prime-power = C)."""
     if conds.theorem_applicable != (conds.n_gt_q and witness is not None):
-        raise InternalContradictionError(
+        raise InternalInvariantError(
             f"conditions and witness disagree at n = {params.n}, p = {params.p}, q = {params.q}"
         )
     verdict = Verdict.DETERMINED if conds.theorem_applicable else Verdict.INCONCLUSIVE
@@ -143,14 +139,14 @@ def certify_product(params: CurveParams) -> ProductCertificate:
     n, p, r = params.n, params.p, params.r
     conds = classify(params)
     if not (conds.product_applicable and conds.n_gt_q):
-        raise ProductHypothesisFailedError(
+        raise ParameterError(
             f"product certification needs p odd, p coprime to n(n-1) and n > q; got {params}"
         )
 
     levels = tuple(certify_single(validate(n, p, i)) for i in range(1, r + 1))
     for i, cert in enumerate(levels, start=1):
         if cert.verdict is not Verdict.DETERMINED:
-            raise InternalContradictionError(f"level q = {p}^{i} came back {cert.verdict.value}")
+            raise InternalInvariantError(f"level q = {p}^{i} came back {cert.verdict.value}")
 
     # A trace-compatible tuple is determined by its top component, so the
     # multi-level center is the top level's center, of dimension phi(p^r)/2.

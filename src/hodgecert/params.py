@@ -8,13 +8,7 @@ which the Hodge group of the new part of the jacobian is determined.
 
 from dataclasses import dataclass
 
-from .errors import (
-    BoundExceededError,
-    DegreeTooSmallError,
-    DividesDegreeError,
-    ExponentTooSmallError,
-    NotPrimeError,
-)
+from .errors import ParameterError
 
 __all__ = [
     "ConditionStatus",
@@ -59,20 +53,23 @@ def is_prime(m: int) -> bool:
 
 
 def require_bounded(name: str, value: int) -> None:
-    """Raise BoundExceededError if |value| > 2^40.  Run it before any check
-    whose message names the value: past 64 bits the value is named by its bit
+    """Raise ParameterError unless value is an int, not a bool or a float
+    that equals one, with |value| <= 2^40.  Run it before any check whose
+    message names the value: past 64 bits the value is named by its bit
     length, as Python writes no int of more than 4,300 digits in decimal."""
+    if type(value) is not int:
+        raise ParameterError(f"{name} must be an int; got {type(value).__name__}")
     if abs(value) > MAX_SUPPORTED:
         shown = value if value.bit_length() <= 64 else f"a {value.bit_length()}-bit integer"
-        raise BoundExceededError(f"{name} = {shown} exceeds the supported bound 2^40")
+        raise ParameterError(f"{name} = {shown} exceeds the supported bound 2^40")
 
 
 def require_prime(p: int) -> None:
-    """Raise BoundExceededError for |p| > 2^40, checked first so a huge p never
-    reaches Miller-Rabin, else NotPrimeError unless p is prime."""
+    """Raise ParameterError unless p is a prime int of at most 2^40; the
+    bound is checked first, so a huge p never reaches Miller-Rabin."""
     require_bounded("p", p)
     if not is_prime(p):
-        raise NotPrimeError(f"p = {p} is not prime")
+        raise ParameterError(f"p = {p} is not prime")
 
 
 @dataclass(frozen=True)
@@ -116,24 +113,23 @@ class ConditionStatus:
 def validate(n: int, p: int, r: int) -> CurveParams:
     """Check (n, p, r) and return CurveParams with q = p^r.
 
-    Raises BoundExceededError, ExponentTooSmallError, NotPrimeError,
-    DegreeTooSmallError or DividesDegreeError on bad input.
+    Raises ParameterError on bad input, its message naming the failed check.
     """
     require_bounded("n", n)
     require_bounded("r", r)
     if r < 1:
-        raise ExponentTooSmallError(f"r = {r}; the exponent must be at least 1")
+        raise ParameterError(f"r = {r}; the exponent must be at least 1")
     require_prime(p)
     if n < 4:
-        raise DegreeTooSmallError(f"n = {n}; the degree must be at least 4")
+        raise ParameterError(f"n = {n}; the degree must be at least 4")
     if n % p == 0:
-        raise DividesDegreeError(f"p = {p} divides n = {n}")
+        raise ParameterError(f"p = {p} divides n = {n}")
     # q = p^r is refused above 2^40; p >= 2, so r > 40 is refused before p**r.
     if r > 40:
-        raise BoundExceededError(f"q = {p}^{r} exceeds the supported bound 2^40")
+        raise ParameterError(f"q = {p}^{r} exceeds the supported bound 2^40")
     q = p**r
     if q > MAX_SUPPORTED:
-        raise BoundExceededError(f"q = {p}^{r} = {q} exceeds the supported bound 2^40")
+        raise ParameterError(f"q = {p}^{r} = {q} exceeds the supported bound 2^40")
     return CurveParams(n=n, p=p, r=r, q=q)
 
 

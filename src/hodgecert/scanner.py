@@ -17,13 +17,7 @@ from enum import Enum
 from json.encoder import encode_basestring_ascii
 
 from ._version import __version__
-from .errors import (
-    BoundExceededError,
-    ExponentTooSmallError,
-    InternalContradictionError,
-    OracleDisagreementError,
-    ParameterError,
-)
+from .errors import InternalInvariantError, ParameterError
 from .hodge_report import (
     HodgeCertificate,
     Verdict,
@@ -116,7 +110,7 @@ class ScanSpec:
         for p in self.primes:
             require_prime(p)
         if self.r_max < 1:
-            raise ExponentTooSmallError(f"r_max = {self.r_max}; need at least 1")
+            raise ParameterError(f"r_max = {self.r_max}; need at least 1")
         if self.format not in FORMATS:
             raise ParameterError(f"unknown format {self.format!r}")
 
@@ -307,12 +301,12 @@ def _grid(spec: ScanSpec):
 
 def _check_oracle_bound(spec: ScanSpec, remedy: str) -> None:
     """Refuse, before any work, a grid with a point where brute_force_witness
-    would raise BoundExceededError, i.e. one at q > MAX_ORACLE_Q."""
+    would refuse, i.e. one at q > MAX_ORACLE_Q."""
     low = max(spec.n_min, 4)
     for p, r in _levels(spec):
         # Of two consecutive degrees at most one is a multiple of p.
         if p**r > MAX_ORACLE_Q and any(n % p for n in range(low, min(low + 1, spec.n_max) + 1)):
-            raise BoundExceededError(
+            raise ParameterError(
                 f"q = {p}^{r} = {p**r} exceeds the exhaustive oracle bound {MAX_ORACLE_Q}; {remedy}"
             )
 
@@ -328,7 +322,7 @@ def method_witnesses(
     """(constructive, oracle) witnesses at one point for a --method.  The
     constructive one is always built, as it feeds the certificate; the oracle
     runs unless method is "constructive", and must find a witness exactly
-    where a route applies (else OracleDisagreementError)."""
+    where a route applies (else InternalInvariantError)."""
     _check_method(method)
     built = constructive_witness(params, conds)
     brute = None
@@ -337,7 +331,7 @@ def method_witnesses(
         if (brute is None) != (built is None):
             where = f"n={params.n}, p={params.p}, r={params.r}"
             found = "no witness" if brute is None else "a witness where no route applies"
-            raise OracleDisagreementError(f"oracle found {found} at {where}")
+            raise InternalInvariantError(f"oracle found {found} at {where}")
     return built, brute
 
 
@@ -378,7 +372,7 @@ def run_remark_check(n_max: int) -> dict:
     """Verify that at (p, q) = (2, 4) the general witness route applies
     exactly for n congruent to 7 modulo 8, over all odd n in [5, n_max].
 
-    Raises InternalContradictionError with the first counterexample.
+    Raises InternalInvariantError with the first counterexample.
     """
     require_bounded("n_max", n_max)
     if n_max < 9:
@@ -388,7 +382,7 @@ def run_remark_check(n_max: int) -> dict:
         applicable = classify(validate(n, 2, 2)).witness_q_applicable
         expected = n % 8 == 7
         if applicable != expected:
-            raise InternalContradictionError(f"counterexample n = {n}")
+            raise InternalInvariantError(f"counterexample n = {n}")
         if applicable:
             matching.append(n)
     return {
@@ -407,9 +401,9 @@ def run_cross_validate(spec: ScanSpec) -> dict:
     """Check constructive routes against the exhaustive oracle on the grid.
 
     At every point, each constructive route that applies must build a witness
-    that verifies (else InternalInvariantError), and the oracle must find a
-    witness exactly where a route applies, as in scan --method both (else
-    OracleDisagreementError, at the first disagreement).
+    that verifies, and the oracle must find a witness exactly where a route
+    applies, as in scan --method both; the first failure of either raises
+    InternalInvariantError.
     """
     _check_oracle_bound(spec, "cross-validate runs the oracle at every point: lower --r-max")
     report = {

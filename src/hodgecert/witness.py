@@ -19,12 +19,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .errors import (
-    BoundExceededError,
-    InternalContradictionError,
-    InternalInvariantError,
-    PreconditionViolatedError,
-)
+from .errors import InternalInvariantError, ParameterError
 from .params import ConditionStatus, CurveParams, prime_route_case, q_route_applies
 
 __all__ = [
@@ -147,7 +142,7 @@ def brute_force_witness(params: CurveParams) -> Witness | None:
     """
     n, p, q = params.n, params.p, params.q
     if q > MAX_ORACLE_Q:
-        raise BoundExceededError(
+        raise ParameterError(
             f"q = {q} exceeds the exhaustive oracle bound {MAX_ORACLE_Q}; "
             "witness and scan skip the oracle with --method constructive"
         )
@@ -167,9 +162,7 @@ def constructive_witness_prime(params: CurveParams) -> Witness:
     allows it: the floor-one rule below 2q, the modular inverse above."""
     n, p, q = params.n, params.p, params.q
     if prime_route_case(n, p, q) is None:
-        raise PreconditionViolatedError(
-            f"odd-prime witness route does not apply at n = {n}, p = {p}, q = {q}"
-        )
+        raise ParameterError(f"odd-prime witness route does not apply at n = {n}, p = {p}, q = {q}")
     if n < 2 * q:  # p is odd unless q < n
         # The smallest i prime to p with n*i > q.  floor(n*i/q) = 1: q < mu*n < q + n
         # as p does not divide n, and if p divides mu, then mu > 2, so (mu + 1)*n < 2q.
@@ -211,9 +204,7 @@ def _inverse_witness(params: CurveParams, tr: DerivationTrace) -> Witness:
         if math.gcd(fv, n - 1) == 1:
             det = tr.d * i - q * (j0 + eps * dp)
             return Witness(i=i, floor_value=fv, branch=branch, bezout=bez, determinant_check=det)
-    raise InternalContradictionError(
-        f"no inverse candidate passed at n = {n}, p = {params.p}, q = {q}"
-    )
+    raise InternalInvariantError(f"no inverse candidate passed at n = {n}, p = {params.p}, q = {q}")
 
 
 def constructive_witness_q(params: CurveParams) -> Witness:
@@ -221,7 +212,7 @@ def constructive_witness_q(params: CurveParams) -> Witness:
     q_route_applies allows it."""
     n, p, q = params.n, params.p, params.q
     if not q_route_applies(n, p, q):
-        raise PreconditionViolatedError(
+        raise ParameterError(
             f"prime-power witness route does not apply at n = {n}, p = {p}, q = {q}"
         )
     if p == 2 and (n + 1) % q == 0:  # then d = q - 2, so p | d; take i = q/2 - 1

@@ -74,6 +74,40 @@ class TestUsageErrors:
     def test_bad_primes_list(self, capsys):
         assert main(["scan", "--n-min", "5", "--n-max", "9", "--primes", "3,x", "--r-max", "1"]) == 1
 
+    # the message is all that tells two refusals apart, so each line is pinned
+    REFUSALS = {
+        "certify --n 5 --p 4 --r 1": "p = 4 is not prime",
+        "certify --n 6 --p 3 --r 1": "p = 3 divides n = 6",
+        "certify --n 3 --p 5 --r 1": "n = 3; the degree must be at least 4",
+        "certify --n 5 --p 3 --r 0": "r = 0; the exponent must be at least 1",
+        "certify --n 5 --p 2 --r 41": "q = 2^41 exceeds the supported bound 2^40",
+        "certify --n 1099511627777 --p 3 --r 1": (
+            "n = 1099511627777 exceeds the supported bound 2^40"
+        ),
+        "certify --n 5 --p 2 --r 1": "q = 2 certificates are out of scope",
+        "certify --n 7 --p 3 --r 2 --product": (
+            "product certification needs p odd, p coprime to n(n-1) and n > q;"
+            " got CurveParams(n=7, p=3, r=2, q=9)"
+        ),
+        "witness --n 5 --p 2 --r 25": (
+            "q = 33554432 exceeds the exhaustive oracle bound 16777216;"
+            " witness and scan skip the oracle with --method constructive"
+        ),
+        "scan --n-min 4 --n-max 5 --primes 2 --r-max 25": (
+            "q = 2^25 = 33554432 exceeds the exhaustive oracle bound 16777216;"
+            " scan skips the oracle with --method constructive"
+        ),
+        "scan --n-min 4 --n-max 5 --primes 3 --r-max 0": "r_max = 0; need at least 1",
+        "remark-check --n-max 8": "n_max = 8; need at least 9",
+    }
+
+    @pytest.mark.parametrize("command", REFUSALS)
+    def test_refusal_line(self, command, capsys):
+        assert main(command.split()) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {self.REFUSALS[command]}\n"
+
     def test_unwritable_out_path(self, tmp_path, capsys):
         missing = tmp_path / "nope" / "out.json"
         code = main(["certify", "--n", "5", "--p", "3", "--r", "1", "--out", str(missing)])

@@ -4,8 +4,7 @@ import pytest
 from hypothesis import given, settings
 
 from hodgecert import (
-    DegreeNotAboveQError,
-    HyperellipticExcludedError,
+    ParameterError,
     brute_force_witness,
     multiplicities,
     new_part_dim,
@@ -33,11 +32,11 @@ class TestMultiplicities:
         assert cm.d == 10 and cm.phi_q == 6
 
     def test_requires_n_above_q(self):
-        with pytest.raises(DegreeNotAboveQError):
+        with pytest.raises(ParameterError, match="need n > q; got n = 5, q = 9"):
             multiplicities(validate(5, 3, 2))
 
     def test_rejects_q2(self):
-        with pytest.raises(HyperellipticExcludedError):
+        with pytest.raises(ParameterError, match="q = 2 is outside the certification scope"):
             multiplicities(validate(5, 2, 1))
 
 
@@ -48,7 +47,7 @@ class TestDims:
         assert new_part_dim(validate(11, 3, 2)) == 30
 
     def test_new_part_rejects_q2(self):
-        with pytest.raises(HyperellipticExcludedError):
+        with pytest.raises(ParameterError, match="q = 2 has no new part"):
             new_part_dim(validate(5, 2, 1))
 
 

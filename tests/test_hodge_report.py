@@ -4,10 +4,8 @@ import pytest
 from hypothesis import given, settings
 
 from hodgecert import (
-    HyperellipticExcludedError,
-    InternalContradictionError,
     InternalInvariantError,
-    ProductHypothesisFailedError,
+    ParameterError,
     Verdict,
     brute_force_witness,
     certify_product,
@@ -64,7 +62,7 @@ class TestCertifySingle:
         assert (cert.dim_unitary, cert.dim_center, cert.dim_semisimple) == (972, 3, 969)
 
     def test_rejects_q2(self):
-        with pytest.raises(HyperellipticExcludedError):
+        with pytest.raises(ParameterError, match="q = 2 certificates are out of scope"):
             certify_single(validate(9, 2, 1))
 
     @settings(max_examples=200)
@@ -145,7 +143,7 @@ class TestCertifyInvariants:
         conds = classify(params)
         witness = constructive_witness(params, conds) if with_witness else None
         forged = dataclasses.replace(conds, theorem_applicable=applicable)
-        with pytest.raises(InternalContradictionError):
+        with pytest.raises(InternalInvariantError, match="conditions and witness disagree at n = "):
             certificate_from_witness(params, forged, witness)
 
 
@@ -159,19 +157,19 @@ class TestCertifyProduct:
         assert "isogeny" in cert.isogeny_note
 
     def test_rejects_p_dividing_n_minus_1(self):
-        with pytest.raises(ProductHypothesisFailedError):
+        with pytest.raises(ParameterError, match="product certification needs p odd"):
             certify_product(validate(10, 3, 2))
 
     def test_rejects_p_dividing_n_times_n_minus_1(self):
-        with pytest.raises(ProductHypothesisFailedError):
+        with pytest.raises(ParameterError, match="product certification needs p odd"):
             certify_product(validate(4, 3, 1))
 
     def test_rejects_even_p(self):
-        with pytest.raises(ProductHypothesisFailedError):
+        with pytest.raises(ParameterError, match="product certification needs p odd"):
             certify_product(validate(7, 2, 2))
 
     def test_rejects_n_below_q(self):
-        with pytest.raises(ProductHypothesisFailedError):
+        with pytest.raises(ParameterError, match="product certification needs p odd"):
             certify_product(validate(5, 3, 2))
 
     @pytest.mark.parametrize("point", [(7, 2, 2), (10, 3, 2), (4, 3, 1), (5, 3, 2)])
@@ -180,7 +178,7 @@ class TestCertifyProduct:
 
         calls = []
         monkeypatch.setattr(hodgecert.hodge_report, "certify_single", calls.append)
-        with pytest.raises(ProductHypothesisFailedError):
+        with pytest.raises(ParameterError, match="product certification needs p odd"):
             certify_product(validate(*point))
         assert calls == []
 

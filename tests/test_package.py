@@ -31,13 +31,24 @@ def test_package_holds_only_what_the_certifier_runs():
         "witness",
     }
     removed = {
+        "BoundExceededError",
         "BoundViolatedError",
+        "DegreeNotAboveQError",
+        "DegreeTooSmallError",
+        "DividesDegreeError",
         "DuplicateMultiplicityError",
         "EigenPair",
         "EigenSystem",
         "EquivalenceFailedError",
+        "ExponentTooSmallError",
+        "HyperellipticExcludedError",
+        "InternalContradictionError",
         "LevelInconclusiveError",
+        "NotPrimeError",
+        "OracleDisagreementError",
         "ParityImpossibleError",
+        "PreconditionViolatedError",
+        "ProductHypothesisFailedError",
         "SelfConflictError",
         "as_eigen_system",
         "center_dim_product",
@@ -54,3 +65,5 @@ def test_package_holds_only_what_the_certifier_runs():
         "witness_to_dict",
     }
     assert not {name for name in removed if hasattr(hodgecert, name)}
+    # one error class per CLI exit code
+    assert hodgecert.errors.__all__ == ["InternalInvariantError", "ParameterError"]

@@ -11,9 +11,7 @@ import pytest
 
 from hodgecert import (
     CSV_COLUMNS,
-    BoundExceededError,
-    NotPrimeError,
-    OracleDisagreementError,
+    InternalInvariantError,
     ParameterError,
     ScanSpec,
     atomic_write,
@@ -64,17 +62,17 @@ class TestSpecValidation:
             ScanSpec(10, 5, (3,), 1)
 
     def test_bad_prime(self):
-        with pytest.raises(NotPrimeError):
+        with pytest.raises(ParameterError, match="p = 9 is not prime"):
             ScanSpec(5, 10, (9,), 1)
 
     def test_refuses_prime_above_2_40(self):
         # the smallest prime above 2^40: the whole grid is refused
-        with pytest.raises(BoundExceededError, match="p = 1099511627791"):
+        with pytest.raises(ParameterError, match="p = 1099511627791 exceeds the supported bound"):
             ScanSpec(4, 10, (3, 1099511627791), 1)
 
     def test_refuses_n_max_above_2_40_at_once(self):
         start = time.monotonic()
-        with pytest.raises(BoundExceededError, match="n_max"):
+        with pytest.raises(ParameterError, match="n_max = 1099511627777 exceeds the"):
             ScanSpec(4, 2**40 + 1, (3,), 1)
         assert time.monotonic() - start < 1.0
         # 3 divides 2^40 - 1, so the grid holds n = 2^40 - 2 and 2^40
@@ -84,6 +82,15 @@ class TestSpecValidation:
     def test_bad_format(self):
         with pytest.raises(ParameterError):
             ScanSpec(5, 10, (3,), 1, format="xml")
+
+    # a float or a bool compares equal to an int; each is refused up front
+    @pytest.mark.parametrize("kind", [float, bool, str])
+    @pytest.mark.parametrize("name", ["n_min", "n_max", "p", "r_max"])
+    def test_refuses_non_int(self, name, kind):
+        args = {"n_min": 4, "n_max": 10, "p": 3, "r_max": 1}
+        args[name] = kind(args[name])
+        with pytest.raises(ParameterError, match=f"^{name} must be an int; got {kind.__name__}$"):
+            ScanSpec(args["n_min"], args["n_max"], (args["p"],), args["r_max"])
 
 
 class TestRows:
@@ -140,11 +147,11 @@ class TestOracleAgreement:
 
         # (5, 3, 1): a route applies; (19, 3, 2): n = 2q + 1, no route applies
         monkeypatch.setattr(hodgecert.scanner, "brute_force_witness", lambda params: None)
-        with pytest.raises(OracleDisagreementError, match="oracle found no witness at n=5"):
+        with pytest.raises(InternalInvariantError, match="oracle found no witness at n=5"):
             compute_row(validate(5, 3, 1), method)
         forged = Witness(i=1, floor_value=2, branch=Branch.BRUTE_FORCE)
         monkeypatch.setattr(hodgecert.scanner, "brute_force_witness", lambda params: forged)
-        with pytest.raises(OracleDisagreementError, match="no route applies at n=19"):
+        with pytest.raises(InternalInvariantError, match="no route applies at n=19"):
             compute_row(validate(19, 3, 2), method)
 
 
@@ -354,9 +361,14 @@ class TestRemarkCheck:
 
     def test_refuses_n_max_above_2_40_at_once(self):
         start = time.monotonic()
-        with pytest.raises(BoundExceededError, match="n_max"):
+        with pytest.raises(ParameterError, match="n_max = 1099511627777 exceeds the"):
             run_remark_check(2**40 + 1)
         assert time.monotonic() - start < 1.0
+
+    @pytest.mark.parametrize("kind", [float, bool, str])
+    def test_refuses_non_int(self, kind):
+        with pytest.raises(ParameterError, match=f"^n_max must be an int; got {kind.__name__}$"):
+            run_remark_check(kind(20))
 
     def test_dict(self):
         doc = run_remark_check(15)
@@ -379,7 +391,7 @@ class TestOracleBound:
         spec = ScanSpec(n_min, n_max, (2,), 25)
         for check in (build_rows, run_cross_validate):
             if refused:
-                with pytest.raises(BoundExceededError, match="exhaustive oracle bound"):
+                with pytest.raises(ParameterError, match="exhaustive oracle bound"):
                     check(spec)
             else:
                 check(spec)
@@ -434,12 +446,12 @@ class TestCrossValidate:
             return Witness(i=1, floor_value=2, branch=Branch.BRUTE_FORCE)
 
         monkeypatch.setattr(hodgecert.scanner, "brute_force_witness", forged)
-        with pytest.raises(OracleDisagreementError, match="no route applies"):
+        with pytest.raises(InternalInvariantError, match="no route applies"):
             run_cross_validate(ScanSpec(19, 19, (3,), 2))
 
     def test_oracle_finds_no_witness_where_a_route_applies(self, monkeypatch):
         import hodgecert.scanner
 
         monkeypatch.setattr(hodgecert.scanner, "brute_force_witness", lambda params: None)
-        with pytest.raises(OracleDisagreementError, match="oracle found no witness at n=5"):
+        with pytest.raises(InternalInvariantError, match="oracle found no witness at n=5"):
             run_cross_validate(ScanSpec(5, 5, (3,), 1))

@@ -10,11 +10,10 @@ from hypothesis import strategies as st
 
 from hodgecert import (
     BezoutData,
-    BoundExceededError,
     Branch,
     CurveParams,
     InternalInvariantError,
-    PreconditionViolatedError,
+    ParameterError,
     Witness,
     brute_force_witness,
     certify_single,
@@ -110,14 +109,14 @@ class TestBruteForce:
     def test_refuses_q_above_oracle_bound(self):
         # witness-free (n = 2q + 1), so an unbounded scan would try all 3^24 - 1 values of i
         start = time.monotonic()
-        with pytest.raises(BoundExceededError, match="--method constructive"):
+        with pytest.raises(ParameterError, match="exhaustive oracle bound .*--method constructive"):
             brute_force_witness(validate(2 * 3**24 + 1, 3, 24))
         assert time.monotonic() - start < 1.0
 
     def test_scans_at_oracle_bound(self):
         assert MAX_ORACLE_Q == 2**24
         assert brute_force_witness(validate(2**24 + 1, 2, 24)).i == 1
-        with pytest.raises(BoundExceededError):
+        with pytest.raises(ParameterError, match="q = 33554432 exceeds the exhaustive"):
             brute_force_witness(validate(2**25 + 1, 2, 25))
 
 
@@ -159,10 +158,10 @@ class TestConstructivePrime:
 
     def test_precondition_rejected(self):
         # p even and outside (q, 2q)
-        with pytest.raises(PreconditionViolatedError):
+        with pytest.raises(ParameterError, match="odd-prime witness route does not apply"):
             constructive_witness_prime(validate(21, 2, 3))
         # p odd but p | n - 1 and n > 2q
-        with pytest.raises(PreconditionViolatedError):
+        with pytest.raises(ParameterError, match="odd-prime witness route does not apply"):
             constructive_witness_prime(validate(31, 3, 2))
 
 
@@ -188,14 +187,14 @@ class TestConstructiveQ:
         assert (w.i, w.branch) == (1, Branch.MODULAR_INVERSE)
 
     def test_rejects_q_dividing_n_minus_1(self):
-        with pytest.raises(PreconditionViolatedError):
+        with pytest.raises(ParameterError, match="prime-power witness route does not apply"):
             constructive_witness_q(validate(19, 3, 2))
 
     def test_rejects_p2_bad_residue(self):
         # n = 7 = q - 1 mod 2q at q = 8
-        with pytest.raises(PreconditionViolatedError):
+        with pytest.raises(ParameterError, match="prime-power witness route does not apply"):
             constructive_witness_q(validate(7, 2, 3))
-        with pytest.raises(PreconditionViolatedError):
+        with pytest.raises(ParameterError, match="prime-power witness route does not apply"):
             constructive_witness_q(validate(5, 2, 1))
 
 
@@ -418,7 +417,7 @@ def test_complement_symmetry(params, raw_i):
 def test_constructive_prime_sound(params):
     cs = classify(params)
     if not cs.witness_prime_applicable:
-        with pytest.raises(PreconditionViolatedError):
+        with pytest.raises(ParameterError, match="odd-prime witness route does not apply"):
             constructive_witness_prime(params)
         return
     w = constructive_witness_prime(params)
@@ -430,7 +429,7 @@ def test_constructive_prime_sound(params):
 def test_constructive_q_sound(params):
     cs = classify(params)
     if not cs.witness_q_applicable:
-        with pytest.raises(PreconditionViolatedError):
+        with pytest.raises(ParameterError, match="prime-power witness route does not apply"):
             constructive_witness_q(params)
         return
     w = constructive_witness_q(params)
