@@ -26,15 +26,6 @@ from .scanner import (
 )
 
 
-class _Parser(argparse.ArgumentParser):
-    """argparse exits with 2 on usage errors; the contract reserves 2 for bugs."""
-
-    def error(self, message: str) -> None:
-        self.print_usage(sys.stderr)
-        print(f"{self.prog}: error: {message}", file=sys.stderr)
-        raise SystemExit(1)
-
-
 def _primes(text: str) -> tuple[int, ...]:
     """The argparse type of --primes: a non-empty comma-separated list of integers."""
     try:
@@ -55,11 +46,11 @@ _GRID = (
 )
 
 
-def build_parser() -> _Parser:
-    parser = _Parser(prog="hodgecert", description=__doc__)
-    subs = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(prog="hodgecert", description=__doc__)
+    subs = parser.add_subparsers(dest="command", required=True)
 
-    def command(name: str, func, text: str, required: tuple) -> _Parser:
+    def command(name: str, func, text: str, required: tuple) -> argparse.ArgumentParser:
         """A subcommand with its required (flag, type, help) options and --out."""
         sub = subs.add_parser(name, help=text)
         for flag, kind, flag_help in required:
@@ -129,7 +120,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
-        return int(exc.code) if exc.code is not None else 0
+        # argparse exits 2 on a usage error; the contract reserves 2 for bugs
+        return 1 if exc.code else 0
     try:
         report = args.func(args)
         # The one place a report is written: stdout, or the --out file atomically.

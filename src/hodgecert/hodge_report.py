@@ -73,6 +73,8 @@ class ProductCertificate:
 
 def unitary_dims(params: CurveParams) -> tuple[int, int, int]:
     """(unitary, center, semisimple) dimensions over the rationals for d = n - 1."""
+    if params.q == 2:
+        raise ParameterError("q = 2 has no new part distinct from the jacobian")
     phi = params.phi
     d2 = (params.n - 1) ** 2
     dim_u = phi * d2 // 2

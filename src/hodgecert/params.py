@@ -28,7 +28,9 @@ _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
 def is_prime(m: int) -> bool:
-    """Deterministic Miller-Rabin; exact for all m < 3.3 * 10^24."""
+    """Deterministic Miller-Rabin; exact for all int m < 3.3 * 10^24."""
+    if type(m) is not int:
+        raise ParameterError(f"m must be an int; got {type(m).__name__}")
     if m < 2:
         return False
     for sp in _MR_BASES:

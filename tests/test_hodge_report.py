@@ -38,6 +38,13 @@ class TestUnitaryDims:
         u, c, s = unitary_dims(params)
         assert c + s == u
 
+    @pytest.mark.parametrize("n", [5, 7, 9, 101])
+    def test_refuses_q_2(self, n):
+        # phi(2) = 1 is odd, so no ledger at q = 2 adds up; refused as new_part_dim is
+        message = "^q = 2 has no new part distinct from the jacobian$"
+        with pytest.raises(ParameterError, match=message):
+            unitary_dims(validate(n, 2, 1))
+
 
 class TestCertifySingle:
     def test_determined_example(self):

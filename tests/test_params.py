@@ -30,6 +30,12 @@ class TestIsPrime:
         assert is_prime((1 << 31) - 1)  # Mersenne
         assert not is_prime((1 << 31) - 3)
 
+    @pytest.mark.parametrize("m", [7.0, 1e13 + 37, True, "7"])
+    def test_refuses_non_int(self, m):
+        # a float that equals a prime is not a prime, and a bool is not an int here
+        with pytest.raises(ParameterError, match=f"^m must be an int; got {type(m).__name__}$"):
+            is_prime(m)
+
 
 class TestValidate:
     def test_basic_point(self):
