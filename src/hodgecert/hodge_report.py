@@ -20,8 +20,7 @@ __all__ = [
     "Verdict",
     "certify_product",
     "certify_single",
-    "new_part_dim",
-    "unitary_dims",
+    "ledger",
 ]
 
 
@@ -71,27 +70,15 @@ class ProductCertificate:
     levels: tuple[HodgeCertificate, ...]
 
 
-def unitary_dims(params: CurveParams) -> tuple[int, int, int]:
-    """(unitary, center, semisimple) dimensions over the rationals for d = n - 1."""
+def ledger(params: CurveParams) -> tuple[int, int, int, int]:
+    """(abelian variety, unitary, center, semisimple) dimensions, in report
+    order: with d = n - 1 and h = phi(q)/2, the center's dimension, they are
+    d*h, d^2*h, h and (d^2 - 1)*h.  phi(q) is even for q > 2."""
     if params.q == 2:
         raise ParameterError("q = 2 has no new part distinct from the jacobian")
-    phi = params.phi
-    d2 = (params.n - 1) ** 2
-    dim_u = phi * d2 // 2
-    dim_c = phi // 2
-    dim_ss = phi * (d2 - 1) // 2
-    assert dim_c + dim_ss == dim_u
-    return dim_u, dim_c, dim_ss
-
-
-def new_part_dim(params: CurveParams) -> int:
-    """Dimension of the new part: (n-1) * phi(q) / 2.  Needs q > 2."""
-    if params.q == 2:
-        raise ParameterError("q = 2 has no new part distinct from the jacobian")
-    prod = (params.n - 1) * params.phi
-    if prod % 2 != 0:
-        raise InternalInvariantError(f"(n-1)*phi(q) = {prod} is odd")  # phi(q) even for q > 2
-    return prod // 2
+    h = params.phi // 2
+    d = params.n - 1
+    return d * h, d * d * h, h, (d * d - 1) * h
 
 
 def certify_single(params: CurveParams) -> HodgeCertificate:
@@ -117,14 +104,14 @@ def certificate_from_witness(
             f"conditions and witness disagree at n = {params.n}, p = {params.p}, q = {params.q}"
         )
     verdict = Verdict.DETERMINED if conds.theorem_applicable else Verdict.INCONCLUSIVE
-    dim_u, dim_c, dim_ss = unitary_dims(params)
+    dim_a, dim_u, dim_c, dim_ss = ledger(params)
     return HodgeCertificate(
         params=params,
         verdict=verdict,
         assumption=GALOIS_ASSUMPTION,
         conditions=conds,
         witness=witness if verdict is Verdict.DETERMINED else None,
-        dim_abelian_variety=new_part_dim(params),
+        dim_abelian_variety=dim_a,
         dim_unitary=dim_u,
         dim_center=dim_c,
         dim_semisimple=dim_ss,

@@ -25,11 +25,10 @@ from hodgecert import (
     constructive_witness_prime,
     constructive_witness_q,
     is_prime,
+    ledger,
     multiplicities,
-    new_part_dim,
     run_cross_validate,
     run_scan,
-    unitary_dims,
     validate,
     verify_witness,
 )
@@ -133,7 +132,7 @@ def test_criterion_4_cm_multiplicity_invariants_on_seeded_sample():
             assert value == n * i // q
             assert cm.entries[q - i] == (n - 1) - value
         assert len(set(cm.entries.values())) == phi
-        assert sum(cm.entries.values()) == (n - 1) * phi // 2 == new_part_dim(params)
+        assert sum(cm.entries.values()) == (n - 1) * phi // 2 == ledger(params)[0]
     print(f"PASS criterion 4: multiplicity invariants hold at all {len(sample)} sampled points")
 
 
@@ -141,13 +140,18 @@ def test_criterion_5_dimension_ledger_exact_and_golden_bytes_stable(tmp_path):
     sample = seeded_sample(1000)
     for params in sample:
         phi = phi_count(params.q)
-        u, c, s = unitary_dims(params)
+        a, u, c, s = ledger(params)
+        assert 2 * a == phi * (params.n - 1)
         assert 2 * u == phi * (params.n - 1) ** 2
         assert 2 * c == phi
         assert c + s == u
         cert = certify_single(params)
-        assert (cert.dim_unitary, cert.dim_center, cert.dim_semisimple) == (u, c, s)
-        assert cert.dim_abelian_variety == new_part_dim(params)
+        assert (
+            cert.dim_abelian_variety,
+            cert.dim_unitary,
+            cert.dim_center,
+            cert.dim_semisimple,
+        ) == (a, u, c, s)
 
     single = tmp_path / "single.json"
     product = tmp_path / "product.json"

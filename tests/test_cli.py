@@ -77,6 +77,7 @@ class TestUsageErrors:
     # the message is all that tells two refusals apart, so each line is pinned
     REFUSALS = {
         "certify --n 5 --p 4 --r 1": "p = 4 is not prime",
+        "certify --n 4 --p 1763 --r 1": "p = 1763 is not prime",
         "certify --n 6 --p 3 --r 1": "p = 3 divides n = 6",
         "certify --n 3 --p 5 --r 1": "n = 3; the degree must be at least 4",
         "certify --n 5 --p 3 --r 0": "r = 0; the exponent must be at least 1",

@@ -7,7 +7,6 @@ from hodgecert import (
     ParameterError,
     brute_force_witness,
     multiplicities,
-    new_part_dim,
     semisimplicity_criterion,
     validate,
 )
@@ -38,17 +37,6 @@ class TestMultiplicities:
     def test_rejects_q2(self):
         with pytest.raises(ParameterError, match="q = 2 is outside the certification scope"):
             multiplicities(validate(5, 2, 1))
-
-
-class TestDims:
-    def test_new_part(self):
-        assert new_part_dim(validate(5, 3, 1)) == 4
-        assert new_part_dim(validate(7, 2, 2)) == 6
-        assert new_part_dim(validate(11, 3, 2)) == 30
-
-    def test_new_part_rejects_q2(self):
-        with pytest.raises(ParameterError, match="q = 2 has no new part"):
-            new_part_dim(validate(5, 2, 1))
 
 
 class TestCriterion:
@@ -104,9 +92,3 @@ def test_generic_hypotheses_match(params):
     flag, _tau = semisimplicity_criterion(cm)
     assert multiplicity_hypotheses(as_eigen_system(cm)) == flag
 
-
-def test_level_sum_telescopes():
-    # summing new-part dims over q = p, ..., p^r recovers the full genus
-    for n, p, r in ((11, 3, 2), (13, 3, 2), (31, 5, 2), (29, 3, 3)):
-        total = sum(new_part_dim(validate(n, p, i)) for i in range(1, r + 1))
-        assert total == (n - 1) * (p**r - 1) // 2

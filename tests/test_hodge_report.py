@@ -12,10 +12,9 @@ from hodgecert import (
     certify_single,
     classify,
     constructive_witness,
+    ledger,
     multiplicities,
-    new_part_dim,
     semisimplicity_criterion,
-    unitary_dims,
     validate,
     verify_witness,
 )
@@ -23,27 +22,46 @@ from hodgecert.hodge_report import certificate_from_witness
 from support import small_grid, valid_params
 
 
-class TestUnitaryDims:
+class TestLedger:
     def test_example(self):
-        assert unitary_dims(validate(5, 3, 1)) == (16, 1, 15)
+        assert ledger(validate(5, 3, 1)) == (4, 16, 1, 15)
 
     def test_larger(self):
-        assert unitary_dims(validate(19, 3, 2)) == (972, 3, 969)
+        assert ledger(validate(19, 3, 2)) == (54, 972, 3, 969)
 
     @settings(max_examples=200)
     @given(valid_params())
     def test_ledger(self, params):
         if params.q == 2:
             return
-        u, c, s = unitary_dims(params)
+        a, u, c, s = ledger(params)
         assert c + s == u
+        assert a == (params.n - 1) * c
 
     @pytest.mark.parametrize("n", [5, 7, 9, 101])
     def test_refuses_q_2(self, n):
-        # phi(2) = 1 is odd, so no ledger at q = 2 adds up; refused as new_part_dim is
+        # phi(2) = 1 is odd, so no ledger at q = 2 adds up
         message = "^q = 2 has no new part distinct from the jacobian$"
         with pytest.raises(ParameterError, match=message):
-            unitary_dims(validate(n, 2, 1))
+            ledger(validate(n, 2, 1))
+
+
+class TestDims:
+    def test_new_part(self):
+        assert ledger(validate(5, 3, 1))[0] == 4
+        assert ledger(validate(7, 2, 2))[0] == 6
+        assert ledger(validate(11, 3, 2))[0] == 30
+
+    def test_new_part_rejects_q2(self):
+        with pytest.raises(ParameterError, match="q = 2 has no new part"):
+            ledger(validate(5, 2, 1))
+
+
+def test_level_sum_telescopes():
+    # summing new-part dims over q = p, ..., p^r recovers the full genus
+    for n, p, r in ((11, 3, 2), (13, 3, 2), (31, 5, 2), (29, 3, 3)):
+        total = sum(ledger(validate(n, p, i))[0] for i in range(1, r + 1))
+        assert total == (n - 1) * (p**r - 1) // 2
 
 
 class TestCertifySingle:
@@ -80,9 +98,7 @@ class TestCertifySingle:
         cert = certify_single(params)
         conds = classify(params)
         assert cert.conditions == conds
-        assert cert.dim_abelian_variety == (
-            new_part_dim(params) if params.n > 1 else 0
-        )
+        assert cert.dim_abelian_variety == ledger(params)[0]
         if cert.verdict is Verdict.DETERMINED:
             assert conds.theorem_applicable
             assert cert.witness is not None

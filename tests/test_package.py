@@ -61,7 +61,9 @@ def test_package_holds_only_what_the_certifier_runs():
         "greedy_compatible_subset",
         "jacobian_dim",
         "multiplicity_hypotheses",
+        "new_part_dim",
         "product_to_dict",
+        "unitary_dims",
         "witness_to_dict",
     }
     assert not {name for name in removed if hasattr(hodgecert, name)}

@@ -30,6 +30,27 @@ class TestIsPrime:
         assert is_prime((1 << 31) - 1)  # Mersenne
         assert not is_prime((1 << 31) - 3)
 
+    @pytest.mark.parametrize(
+        "m",
+        [
+            41 * 43,
+            1000003 * 1000033,
+            151 * 751 * 28351,  # strong pseudoprime to bases 2, 3, 5 and 7
+            149491 * 747451 * 34233211,  # strong pseudoprime to every base up to 23
+        ],
+    )
+    def test_composites_past_trial_division_rejected(self, m):
+        # no factor of 37 or less, so only the Miller-Rabin rounds can answer
+        assert not is_prime(m)
+
+    def test_matches_trial_division(self):
+        def by_trial_division(m):
+            return m >= 2 and all(m % f for f in range(2, math.isqrt(m) + 1))
+
+        assert [is_prime(m) for m in range(-5, 20000)] == [
+            by_trial_division(m) for m in range(-5, 20000)
+        ]
+
     @pytest.mark.parametrize("m", [7.0, 1e13 + 37, True, "7"])
     def test_refuses_non_int(self, m):
         # a float that equals a prime is not a prime, and a bool is not an int here

@@ -65,6 +65,11 @@ class TestSpecValidation:
         with pytest.raises(ParameterError, match="p = 9 is not prime"):
             ScanSpec(5, 10, (9,), 1)
 
+    def test_no_primes(self):
+        # the CLI's --primes parser refuses an empty list first; a library caller reaches this
+        with pytest.raises(ParameterError, match="no primes given"):
+            ScanSpec(5, 9, (), 1)
+
     def test_refuses_prime_above_2_40(self):
         # the smallest prime above 2^40: the whole grid is refused
         with pytest.raises(ParameterError, match="p = 1099511627791 exceeds the supported bound"):

@@ -299,6 +299,7 @@ FORGERIES = (
     "ModularInverse with Bezout data",
     "Bezout with p coprime to d",
     "Bezout candidate",
+    "Bezout floor correction",
     "Power2Special off q | n + 1",
 )
 
@@ -308,7 +309,8 @@ def forged_witnesses(params):
     before the named one and to fail that one.  One forgery is valid by
     design and left out: any verified witness relabelled BruteForce."""
     n, p, q = params.n, params.p, params.q
-    d = derivation_trace(params).d
+    tr = derivation_trace(params)
+    d = tr.d
     oracle = brute_force_witness(params)
     built = constructive_witness(params, classify(params))
     if q > p:
@@ -341,6 +343,17 @@ def forged_witnesses(params):
     if built is not None and built.branch is Branch.MODULAR_INVERSE:
         j = (d * built.i - 1) // q  # the t = 1 solution of d*i - q*j = 1
         yield "ModularInverse with Bezout data", replace(built, bezout=BezoutData(d, q, j))
+    if d >= 1 and tr.t > 1:
+        # the base solution of d'*i - q'*j = 1 where only floor((t + i + q')/q) = 0 fails
+        dp, qp = tr.d_prime, tr.q_prime
+        i0 = pow(dp, -1, qp)
+        j0 = (dp * i0 - 1) // qp
+        fv = n * i0 // q
+        if fv == tr.k * i0 + j0 and math.gcd(fv, n - 1) == 1 and tr.t + i0 + qp >= q:
+            bez = BezoutData(dp, qp, j0)
+            yield "Bezout floor correction", Witness(
+                i0, fv, Branch.BEZOUT_CANDIDATE_0, determinant_check=d * i0 - q * j0, bezout=bez
+            )
 
 
 # ---------- sweeps and properties ----------
