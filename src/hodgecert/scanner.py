@@ -254,10 +254,19 @@ def atomic_write(path: str, data: bytes) -> None:
     """Write via a temp file in the target directory, then rename into place.
 
     A symlink is written through, as open(path, "wb") would: the file it
-    points to is replaced and the link is kept.  The file ends up with the
-    mode open would leave: an existing target keeps its permission bits, a
-    new one gets 0o666 less the umask.
+    points to is replaced and the link is kept.  A FIFO or device is
+    written in place, as open would, not replaced.  The file ends up with
+    the mode open would leave: an existing target keeps its permission
+    bits, a new one gets 0o666 less the umask.
     """
+    try:
+        mode = os.stat(path).st_mode  # follows symlinks
+    except FileNotFoundError:
+        mode = None
+    if mode is not None and not stat.S_ISREG(mode):
+        with open(path, "wb") as fh:
+            fh.write(data)
+        return
     path = os.path.realpath(path)
     tmp = os.path.join(os.path.dirname(path), f".hodgecert-{os.urandom(8).hex()}.tmp")
     # O_EXCL: never reuse a file; mode 0o666 is masked by the umask, as in open().
@@ -265,10 +274,8 @@ def atomic_write(path: str, data: bytes) -> None:
     try:
         with os.fdopen(fd, "wb") as fh:
             fh.write(data)
-        try:
-            os.chmod(tmp, stat.S_IMODE(os.stat(path).st_mode))
-        except FileNotFoundError:
-            pass
+        if mode is not None:
+            os.chmod(tmp, stat.S_IMODE(mode))
         os.replace(tmp, path)
     except BaseException:
         try:

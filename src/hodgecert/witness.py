@@ -32,7 +32,6 @@ __all__ = [
     "constructive_witness_prime",
     "constructive_witness_q",
     "derivation_trace",
-    "floor_correction_vanishes",
     "verify_witness",
 ]
 
@@ -115,15 +114,6 @@ def derivation_trace(params: CurveParams) -> DerivationTrace:
     return DerivationTrace(k=k, c=c, d=d, t=t, d_prime=d // t, q_prime=q // t)
 
 
-def floor_correction_vanishes(trace: DerivationTrace, i: int, params: CurveParams) -> bool:
-    """Whether the floor-correction term floor((t + i + q')/q) is zero.
-
-    The shifted-candidate floor identities hold exactly when this term
-    vanishes for the base Bezout solution i.
-    """
-    return (trace.t + i + trace.q_prime) // params.q == 0
-
-
 def _verified(params: CurveParams, w: Witness) -> Witness:
     """w, once verify_witness accepts it: the one exit of every producer."""
     if not verify_witness(params, w):
@@ -201,9 +191,8 @@ def _inverse_witness(params: CurveParams, tr: DerivationTrace) -> Witness:
     for eps, branch in candidates:
         i = i0 + eps * qp
         fv = n * i // q
-        if math.gcd(fv, n - 1) == 1:
-            det = tr.d * i - q * (j0 + eps * dp)
-            return Witness(i=i, floor_value=fv, branch=branch, bezout=bez, determinant_check=det)
+        if math.gcd(fv, n - 1) == 1:  # d*i - q*(j0 + eps*d') = t*(d'*i0 - q'*j0) = t
+            return Witness(i=i, floor_value=fv, branch=branch, bezout=bez, determinant_check=t)
     raise InternalInvariantError(f"no inverse candidate passed at n = {n}, p = {params.p}, q = {q}")
 
 
@@ -246,13 +235,10 @@ def _verify_branch(params: CurveParams, w: Witness) -> bool:
         j0 = (dp * i0 - 1) // qp
         if w.bezout != (None if t == 1 else BezoutData(d_prime=dp, q_prime=qp, j=j0)):
             return False
-        j = j0 + eps * dp
-        # floor(c*i/q) = j, i.e. floor(n*i/q) = k*i + j: the correction vanishes.
-        return (
-            tr.d * w.i - q * j == t == w.determinant_check
-            and w.floor_value == tr.k * w.i + j
-            and (t == 1 or floor_correction_vanishes(tr, i0, params))
-        )
+        # d*i - q*j = t*(d'*i0 - q'*j0) = t for j = j0 + eps*d', so floor(n*i/q) =
+        # k*i + j + floor((t + i)/q), whose last term is 0: at t = 1, i = q - 1 would
+        # need d = -1 mod q, off 1 <= d <= q - 2; at t > 1, t + i <= t + i0 + q' < q.
+        return w.determinant_check == t and (t == 1 or t + i0 + qp < q)
 
     if br is Branch.CASE_A_I1 or br is Branch.HALF_RANGE_I2 or br is Branch.MULTIPLIER_SEARCH:
         # Floor one (so n < 2q) at i = ceil(q/n), plus one if p divides it; p odd unless q < n.
@@ -263,10 +249,11 @@ def _verify_branch(params: CurveParams, w: Witness) -> bool:
             label = Branch.HALF_RANGE_I2 if 2 * n > q else Branch.MULTIPLIER_SEARCH
         return w.floor_value == 1 and w.i == mu + (mu % p == 0) and (p != 2 or n > q) and br is label
 
-    if br is not Branch.POWER2_SPECIAL or p != 2 or q <= 2 or (n + 1) % q != 0:
+    # n = k*q - 1 gives floor(n*i/q) = k*i - 1; at q <= 2, i = q/2 - 1 is out of range.
+    if br is not Branch.POWER2_SPECIAL or p != 2 or (n + 1) % q != 0:
         return False  # an unknown branch, or Power2Special off q | n + 1
     k = (n + 1) // q  # odd k is n = q - 1 mod 2q: no witness there
-    return k % 2 == 0 and w.i == q // 2 - 1 and w.floor_value == (q // 2 - 1) * k - 1
+    return k % 2 == 0 and w.i == q // 2 - 1
 
 
 def verify_witness(params: CurveParams, w: Witness) -> bool:

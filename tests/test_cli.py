@@ -55,6 +55,24 @@ class TestCertify:
     def test_hyperelliptic_rejected(self, capsys):
         assert main(["certify", "--n", "5", "--p", "2", "--r", "1"]) == 1
 
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no os.mkfifo")
+    def test_out_writes_into_a_fifo(self, tmp_path):
+        """--out FIFO writes into the pipe, as > FIFO would, and keeps it a FIFO."""
+        import stat
+
+        fifo = tmp_path / "report.fifo"
+        os.mkfifo(fifo)
+        # the read end is open, so opening the write end does not block
+        fd = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+        try:
+            assert main(["certify", "--n", "5", "--p", "3", "--r", "1", "--out", str(fifo)]) == 0
+            got = os.read(fd, 1 << 16)
+        finally:
+            os.close(fd)
+        golden = Path(__file__).parent / "golden" / "certificate_5_3_1.json"
+        assert got == golden.read_bytes()
+        assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
+
 
 class TestUsageErrors:
     def test_scan_mode_removed(self, capsys):

@@ -57,6 +57,7 @@ def test_package_holds_only_what_the_certifier_runs():
         "complement_free_check",
         "coprime_pair_check",
         "eigen_system",
+        "floor_correction_vanishes",
         "floor_mult",
         "greedy_compatible_subset",
         "jacobian_dim",

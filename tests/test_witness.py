@@ -22,7 +22,6 @@ from hodgecert import (
     constructive_witness_prime,
     constructive_witness_q,
     derivation_trace,
-    floor_correction_vanishes,
     render_json,
     to_report,
     validate,
@@ -64,26 +63,6 @@ class TestDerivationTrace:
             assert 1 <= tr.d <= params.q - 2
             assert tr.t * tr.d_prime == tr.d and tr.t * tr.q_prime == params.q
             assert math.gcd(tr.d_prime, tr.q_prime) == 1
-
-
-class TestFloorCorrection:
-    def test_vanishes(self):
-        tr = derivation_trace(validate(13, 3, 2))  # t = 3, q' = 3
-        assert floor_correction_vanishes(tr, 1, validate(13, 3, 2))
-
-    def test_negative_guard(self):
-        # t = 2, i = 3, q' = 4 at q = 8 gives floor(9/8) = 1, so the guard
-        # fails; the triple cannot arise under the construction preconditions.
-        from hodgecert import DerivationTrace
-
-        tr = DerivationTrace(k=0, c=0, d=0, t=2, d_prime=0, q_prime=4)
-        assert not floor_correction_vanishes(tr, 3, validate(15, 2, 3))
-
-    def test_vanishes_q27(self):
-        from hodgecert import DerivationTrace
-
-        tr = DerivationTrace(k=0, c=0, d=0, t=3, d_prime=0, q_prime=9)
-        assert floor_correction_vanishes(tr, 2, validate(31, 3, 3))
 
 
 class TestBruteForce:
@@ -274,33 +253,61 @@ class TestVerify:
         assert set(hits) == set(FORGERIES)
 
     # Reachable only from params validate never builds: p | d with
-    # 1 <= d <= q - 2 forces p <= t < q when q is a power of p, and at
-    # p = 2, n = k*q - 1 with k odd no i passes the gcd(floor, n - 1) check.
+    # 1 <= d <= q - 2 forces p <= t < q when q is a power of p, q does not
+    # divide n - 1 gives d >= 1, and at p = 2, n = k*q - 1 with k odd no i
+    # passes the gcd(floor, n - 1) check.  All but the second are refused by
+    # one check only: t = 1, p | d, d < 1 and odd k.
     @pytest.mark.parametrize(
         "params, w",
         [
-            (CurveParams(n=4, p=3, r=1, q=5), Witness(2, 1, Branch.BEZOUT_CANDIDATE_0)),
+            (
+                CurveParams(n=4, p=3, r=1, q=5),
+                Witness(2, 1, Branch.BEZOUT_CANDIDATE_0, determinant_check=1),
+            ),
             (CurveParams(n=8, p=2, r=1, q=3), Witness(1, 2, Branch.POWER2_SPECIAL)),
+            (
+                CurveParams(n=4, p=3, r=1, q=5),
+                Witness(2, 1, Branch.MODULAR_INVERSE, determinant_check=1),
+            ),
+            (
+                CurveParams(n=10, p=3, r=1, q=5),
+                Witness(4, 8, Branch.MODULAR_INVERSE, determinant_check=1),
+            ),
+            (CurveParams(n=14, p=2, r=1, q=5), Witness(1, 2, Branch.POWER2_SPECIAL)),
         ],
-        ids=["Bezout with t < 2", "Power2Special at odd k"],
+        ids=[
+            "Bezout with t < 2",
+            "Power2Special at odd k",
+            "ModularInverse with p | d",
+            "ModularInverse at d < 1",
+            "Power2Special at odd k only",
+        ],
     )
     def test_rejects_forgery_beyond_validated_params(self, params, w):
         assert not verify_witness(params, w)
 
 
 FORGERIES = (
+    "i below 1",
+    "i beyond q - 1",
     "i shares p",
     "floor value",
     "unknown branch",
+    "CaseA_i1 above 2q",
     "MultiplierSearch range",
     "MultiplierSearch multiplier",
     "MultiplierSearch at mu + 1",
     "ModularInverse with p | d",
     "ModularInverse with Bezout data",
+    "ModularInverse at a non-inverse i",
     "Bezout with p coprime to d",
     "Bezout candidate",
+    "Bezout base out of range",
+    "Bezout base above q' - 1",
+    "determinant check",
     "Bezout floor correction",
     "Power2Special off q | n + 1",
+    "Power2Special at another i",
 )
 
 
@@ -313,8 +320,18 @@ def forged_witnesses(params):
     d = tr.d
     oracle = brute_force_witness(params)
     built = constructive_witness(params, classify(params))
+    for i in range(-1, -q, -1):
+        if i % p and math.gcd(n * i // q, n - 1) == 1:
+            yield "i below 1", Witness(i, n * i // q, Branch.BRUTE_FORCE)
+            break
+    for i in range(q + 1, 2 * q):
+        if i % p and math.gcd(n * i // q, n - 1) == 1:
+            yield "i beyond q - 1", Witness(i, n * i // q, Branch.BRUTE_FORCE)
+            break
     if q > p:
         yield "i shares p", Witness(p, n * p // q, Branch.BRUTE_FORCE)
+    if n > 2 * q and math.gcd(n // q, n - 1) == 1:
+        yield "CaseA_i1 above 2q", Witness(1, n // q, Branch.CASE_A_I1)
     if oracle is not None:  # then q does not divide n - 1, so d >= 1
         yield "floor value", replace(oracle, floor_value=oracle.floor_value + 1)
         yield "unknown branch", replace(oracle, branch=oracle.branch.value)
@@ -324,8 +341,13 @@ def forged_witnesses(params):
             yield "ModularInverse with p | d", replace(oracle, branch=Branch.MODULAR_INVERSE)
         else:
             yield "Bezout with p coprime to d", replace(oracle, branch=Branch.BEZOUT_CANDIDATE_0)
-        if p != 2 or q <= 2 or (n + 1) % q:
+        if p != 2 or (n + 1) % q:
             yield "Power2Special off q | n + 1", replace(oracle, branch=Branch.POWER2_SPECIAL)
+        elif oracle.i != q // 2 - 1:  # k = (n + 1)/q is even, or no i would pass
+            yield "Power2Special at another i", replace(oracle, branch=Branch.POWER2_SPECIAL)
+        if tr.t == 1 and d * oracle.i % q != 1:
+            forged = replace(oracle, branch=Branch.MODULAR_INVERSE, determinant_check=1)
+            yield "ModularInverse at a non-inverse i", forged
     if p != 2 and 2 * n < q:
         mu = -(-q // n)
         if mu % p and (mu + 1) % p:  # floor(n*(mu + 1)/q) = 1, but mu is the smallest
@@ -339,7 +361,17 @@ def forged_witnesses(params):
         Branch.BEZOUT_CANDIDATE_1: Branch.BEZOUT_CANDIDATE_0,
     }
     if built is not None and built.branch in swapped:
-        yield "Bezout candidate", replace(built, branch=swapped[built.branch])
+        other = swapped[built.branch]
+        yield "Bezout candidate", replace(built, branch=other)
+        # the other label's base i0 = i -/+ q' solves d'*i0 - q'*(j -/+ d') = 1 too
+        if built.branch is Branch.BEZOUT_CANDIDATE_0:
+            bez = replace(built.bezout, j=built.bezout.j - tr.d_prime)
+            yield "Bezout base out of range", replace(built, branch=other, bezout=bez)
+        elif tr.t + built.i + tr.q_prime < q:  # so the floor correction still vanishes
+            bez = replace(built.bezout, j=built.bezout.j + tr.d_prime)
+            yield "Bezout base above q' - 1", replace(built, branch=other, bezout=bez)
+    if built is not None and built.determinant_check is not None:
+        yield "determinant check", replace(built, determinant_check=built.determinant_check + 1)
     if built is not None and built.branch is Branch.MODULAR_INVERSE:
         j = (d * built.i - 1) // q  # the t = 1 solution of d*i - q*j = 1
         yield "ModularInverse with Bezout data", replace(built, bezout=BezoutData(d, q, j))
