@@ -90,20 +90,29 @@ def certify_single(params: CurveParams) -> HodgeCertificate:
     return certificate_from_witness(params, conds, constructive_witness(params, conds))
 
 
-def certificate_from_witness(
+def verdict_from_witness(
     params: CurveParams, conds: ConditionStatus, witness: Witness | None
-) -> HodgeCertificate:
-    """Certificate for q > 2 from conds = classify(params) and witness =
-    constructive_witness(params, conds).  A verified witness i is a tau with
-    gcd(floor(n*i/q), n-1) = 1, and for n > q the multiplicities are distinct
-    and positive, so Determined needs only n > q and a witness.  For q > 2 that
-    is conds.theorem_applicable (odd p: prime-power route = B, odd-prime case
-    i = A, case ii implies B; p = 2: odd-prime = A, prime-power = C)."""
+) -> Verdict:
+    """The verdict for q > 2 from conds = classify(params) and witness =
+    constructive_witness(params, conds), the one rule of certificates and scan
+    rows.  A verified witness i is a tau with gcd(floor(n*i/q), n-1) = 1, and
+    for n > q the multiplicities are distinct and positive, so Determined
+    needs only n > q and a witness.  For q > 2 that is conds.theorem_applicable
+    (odd p: prime-power route = B, odd-prime case i = A, case ii implies B;
+    p = 2: odd-prime = A, prime-power = C); a disagreement raises."""
     if conds.theorem_applicable != (conds.n_gt_q and witness is not None):
         raise InternalInvariantError(
             f"conditions and witness disagree at n = {params.n}, p = {params.p}, q = {params.q}"
         )
-    verdict = Verdict.DETERMINED if conds.theorem_applicable else Verdict.INCONCLUSIVE
+    return Verdict.DETERMINED if conds.theorem_applicable else Verdict.INCONCLUSIVE
+
+
+def certificate_from_witness(
+    params: CurveParams, conds: ConditionStatus, witness: Witness | None
+) -> HodgeCertificate:
+    """Certificate for q > 2: the verdict_from_witness verdict, the witness
+    when Determined, and the ledger."""
+    verdict = verdict_from_witness(params, conds, witness)
     dim_a, dim_u, dim_c, dim_ss = ledger(params)
     return HodgeCertificate(
         params=params,

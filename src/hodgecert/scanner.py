@@ -1,12 +1,14 @@
 """Grid scanning and deterministic report serialization.
 
 Scan rows have one field table, CSV_COLUMNS, and are built in sorted
-(p, r, n) order; every other report is its dataclass's fields in
-declaration order, written by to_report.  No report carries a timestamp,
-and atomic_write never leaves a partial file behind.
+(p, r, n) order.  A row builds no certificate: it takes its verdict from
+verdict_from_witness, the rule certificates use, and its dimensions from
+ledger.  Scan columns have fixed types, so each writer fills one row
+template per row, formatting by column.  Every other report is its
+dataclass's fields in declaration order, written by to_report.  No report
+carries a timestamp, and atomic_write never leaves a partial file behind.
 """
 
-import csv
 import io
 import json
 import os
@@ -19,10 +21,10 @@ from json.encoder import encode_basestring_ascii
 from ._version import __version__
 from .errors import InternalInvariantError, ParameterError
 from .hodge_report import (
-    HodgeCertificate,
     Verdict,
-    certificate_from_witness,
     certify_single,  # noqa: F401  (perfbench's tracer test reads scanner.certify_single)
+    ledger,
+    verdict_from_witness,
 )
 from .params import (
     MAX_SUPPORTED,
@@ -142,17 +144,17 @@ def to_report(obj):
 def row_to_dict(
     params: CurveParams,
     conds: ConditionStatus,
-    cert: HodgeCertificate | None,
+    verdict: Verdict | None,
     constructive: Witness | None,
     brute: Witness | None,
 ) -> ScanRow:
     """One scan row.  Returns a ScanRow, not a dict, despite the name, which
-    perfbench's tracer rebinds; cert is None at q = 2."""
-    if cert is None:
-        verdict, dims = Verdict.OUT_OF_SCOPE.value, (None,) * 4
+    perfbench's tracer rebinds; verdict is None at q = 2, where the row is
+    OutOfScope and has no ledger."""
+    if verdict is None:
+        verdict, dims = Verdict.OUT_OF_SCOPE, (None,) * 4
     else:
-        verdict = cert.verdict.value
-        dims = (cert.dim_abelian_variety, cert.dim_unitary, cert.dim_center, cert.dim_semisimple)
+        dims = ledger(params)
     return ScanRow(
         params.n,
         params.p,
@@ -164,7 +166,7 @@ def row_to_dict(
         None if constructive is None else constructive.i,
         None if constructive is None else constructive.branch.value,
         None if brute is None else brute.i,
-        verdict,
+        verdict.value,
         *dims,
     )
 
@@ -177,31 +179,35 @@ def report_envelope(key: str, value) -> dict:
     return {"schema_version": SCHEMA_VERSION, "tool": TOOL, key: value}
 
 
+# Scan columns have fixed types: n, p, r, q are ints; holds_* are bools;
+# witness_constructive_i and _branch are both None or an int and a Branch
+# value; witness_bruteforce_i is None or an int; verdict is a Verdict value;
+# the four dims are all None (q = 2) or all ints.  Branch and Verdict values
+# need no CSV quoting and no JSON escaping, so each writer fills one row
+# template per row and formats by column.
+_BOOL = ("false", "true")
+
+
 def rows_to_csv_bytes(rows: list[ScanRow]) -> bytes:
-    # Encode as the text is written, so no full-size str copy is ever held.
+    """Exactly what csv.writer writes for the rows, with None as an empty cell
+    and bools as true/false, encoded as it is written, so no full-size str is
+    ever held."""
+    row_template = ",".join(["%s"] * len(CSV_COLUMNS)) + "\n"
+    no_ledger = ("",) * 4
     buf = io.BytesIO()
     out = io.TextIOWrapper(buf, encoding="utf-8", newline="")
     out.write(f"# tool: {TOOL}, schema: {SCHEMA_VERSION}\n")
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(CSV_COLUMNS)
-    # csv writes None as an empty cell and ints and strs through str; only
-    # the holds_* columns (4-6) are bools, written true/false.
-    for row in rows:
-        cells = list(row)
-        cells[4:7] = ["true" if v else "false" for v in row[4:7]]
-        writer.writerow(cells)
+    out.write(",".join(CSV_COLUMNS) + "\n")
+    for n, p, r, q, a, b, c, wi, branch, bi, verdict, da, du, dc, ds in rows:
+        out.write(row_template % (
+            n, p, r, q, _BOOL[a], _BOOL[b], _BOOL[c],
+            *(("", "") if wi is None else (wi, branch)),
+            "" if bi is None else bi,
+            verdict,
+            *(no_ledger if da is None else (da, du, dc, ds)),
+        ))
     out.flush()
     return buf.getvalue()
-
-
-# Row values as json.dumps writes them (ensure_ascii=True).  bool is looked
-# up by its own type, so True never takes the int entry.
-_JSON_SCALARS = {
-    int: int.__repr__,
-    str: encode_basestring_ascii,
-    bool: lambda v: "true" if v else "false",
-    type(None): lambda v: "null",
-}
 
 
 # The scan envelope around its rows array, as render_json lays it out.
@@ -211,8 +217,12 @@ _ROWS_HEAD, _, _ROWS_TAIL = (
 
 
 def _json_fields(keys, pad: str) -> str:
-    """The object json.dumps(indent=2) writes at indent pad, one %s per key."""
-    fields = ",\n".join(f"{pad}  {encode_basestring_ascii(k)}: %s" for k in keys)
+    """The object json.dumps(indent=2) writes at indent pad, one %s per key;
+    the Branch and Verdict keys get "%s", their values written bare."""
+    quoted = ("branch", "verdict")
+    fields = ",\n".join(
+        f"{pad}  {encode_basestring_ascii(k)}: " + ('"%s"' if k in quoted else "%s") for k in keys
+    )
     return f"{{\n{fields}\n{pad}}}"
 
 
@@ -231,16 +241,21 @@ def rows_to_json_bytes(rows: list[ScanRow]) -> bytes:
     objects (witness columns nested as above), rendered one row at a time and
     encoded as it is written, so neither the encoder's chunk list nor a
     full-size str is ever held."""
+    no_ledger = ("null",) * 4
     buf = io.BytesIO()
     out = io.TextIOWrapper(buf, encoding="utf-8", newline="")
     out.write(_ROWS_HEAD)
     if rows:
         sep = "[\n"
-        for row in rows:
-            cells = [_JSON_SCALARS[type(v)](v) for v in row]
-            cells[7:9] = ["null" if row[7] is None else _WITNESS_TEMPLATE % (cells[7], cells[8])]
+        for n, p, r, q, a, b, c, wi, branch, bi, verdict, da, du, dc, ds in rows:
             out.write(sep)
-            out.write(_ROW_TEMPLATE % tuple(cells))
+            out.write(_ROW_TEMPLATE % (
+                n, p, r, q, _BOOL[a], _BOOL[b], _BOOL[c],
+                "null" if wi is None else _WITNESS_TEMPLATE % (wi, branch),
+                "null" if bi is None else bi,
+                verdict,
+                *(no_ledger if da is None else (da, du, dc, ds)),
+            ))
             sep = ",\n"
         out.write("\n  ]")
     else:
@@ -327,7 +342,7 @@ def method_witnesses(
     params: CurveParams, conds: ConditionStatus, method: str
 ) -> tuple[Witness | None, Witness | None]:
     """(constructive, oracle) witnesses at one point for a --method.  The
-    constructive one is always built, as it feeds the certificate; the oracle
+    constructive one is always built, as it feeds the verdict; the oracle
     runs unless method is "constructive", and must find a witness exactly
     where a route applies (else InternalInvariantError)."""
     _check_method(method)
@@ -345,12 +360,13 @@ def method_witnesses(
 def compute_row(params: CurveParams, method: str = "both") -> ScanRow:
     """One scan row; both witness routes verify what they return, and the
     oracle must agree with the routes.  The one constructive witness feeds the
-    certificate; method picks the columns."""
+    verdict, by the rule certify uses, conditions-vs-witness check included;
+    method picks the columns."""
     conds = classify(params)
     built, brute = method_witnesses(params, conds, method)
-    # No certification at q = 2: the dimension ledger is undefined there.
-    cert = None if params.q == 2 else certificate_from_witness(params, conds, built)
-    return row_to_dict(params, conds, cert, None if method == "brute" else built, brute)
+    # No verdict at q = 2: the dimension ledger is undefined there.
+    verdict = None if params.q == 2 else verdict_from_witness(params, conds, built)
+    return row_to_dict(params, conds, verdict, None if method == "brute" else built, brute)
 
 
 def build_rows(spec: ScanSpec, method: str = "both") -> list[ScanRow]:

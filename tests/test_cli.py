@@ -205,6 +205,30 @@ class TestInternalErrors:
         assert [f.name for f in tmp_path.iterdir()] == ["report.json"]
 
 
+    def test_scan_keeps_conditions_vs_witness_check(self, tmp_path, capsysbinary, monkeypatch):
+        import hodgecert.scanner
+
+        real = hodgecert.scanner.classify
+
+        def flipped(params):
+            conds = real(params)
+            return replace(conds, theorem_applicable=not conds.theorem_applicable)
+
+        monkeypatch.setattr(hodgecert.scanner, "classify", flipped)
+        grid = ["scan", "--n-min", "5", "--n-max", "40", "--primes", "3", "--r-max", "2"]
+        target = tmp_path / "report.json"
+        target.write_bytes(b"old\n")
+        for argv in (grid, [*grid, "--out", str(target)]):
+            assert main(argv) == 2
+            captured = capsysbinary.readouterr()
+            assert captured.out == b""
+            assert captured.err == (
+                b"internal invariant violation: conditions and witness disagree at n = 5, p = 3, q = 3\n"
+            )
+        assert target.read_bytes() == b"old\n"
+        assert [f.name for f in tmp_path.iterdir()] == ["report.json"]
+
+
 class TestOracleBound:
     # witness-free point with q = 3^24: the exhaustive oracle is refused up front
     POINT = ["witness", "--n", "564859072963", "--p", "3", "--r", "24"]

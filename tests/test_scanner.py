@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import hashlib
 import io
 import json
@@ -14,6 +15,7 @@ from hodgecert import (
     InternalInvariantError,
     ParameterError,
     ScanSpec,
+    Verdict,
     atomic_write,
     build_rows,
     certify_single,
@@ -25,7 +27,7 @@ from hodgecert import (
     run_scan,
     validate,
 )
-from hodgecert.scanner import render_json, report_envelope
+from hodgecert.scanner import SCHEMA_VERSION, TOOL, render_json, report_envelope
 from hodgecert.witness import Branch, Witness
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -47,6 +49,18 @@ def as_json(row) -> dict:
 
 def json_reference(rows) -> bytes:
     return render_json(report_envelope("rows", [as_json(r) for r in rows]))
+
+
+def csv_reference(rows) -> bytes:
+    """The CSV scan report as csv.writer writes it: None as an empty cell,
+    bools as true/false."""
+    text = io.StringIO()
+    text.write(f"# tool: {TOOL}, schema: {SCHEMA_VERSION}\n")
+    writer = csv.writer(text, lineterminator="\n")
+    writer.writerow(CSV_COLUMNS)
+    for row in rows:
+        writer.writerow([str(v).lower() if type(v) is bool else v for v in row])
+    return text.getvalue().encode("utf-8")
 
 
 def parse_csv(payload: bytes) -> tuple[str, list[str], list[dict]]:
@@ -175,6 +189,23 @@ class TestRowMatchesCertificate:
                     assert row.verdict == cert.verdict.value
                     assert attrgetter(*fields)(row) == attrgetter(*fields)(cert)
 
+    def test_conditions_disagreeing_with_witness_raise(self, monkeypatch):
+        import hodgecert.scanner
+
+        # the row takes its verdict from the rule certify uses, so it keeps the
+        # conditions-vs-witness check: (5, 3, 1) has a witness, (19, 3, 2) none
+        real = hodgecert.scanner.classify
+
+        def flipped(params):
+            conds = real(params)
+            return dataclasses.replace(conds, theorem_applicable=not conds.theorem_applicable)
+
+        monkeypatch.setattr(hodgecert.scanner, "classify", flipped)
+        for point in ((5, 3, 1), (19, 3, 2)):
+            for method in ("constructive", "brute", "both"):
+                with pytest.raises(InternalInvariantError, match="conditions and witness disagree"):
+                    compute_row(validate(*point), method)
+
     def test_one_construction_per_row(self, monkeypatch):
         import hodgecert.witness
 
@@ -223,6 +254,36 @@ class TestSerialization:
         # q = 2 rows have all-null ledgers; brute rows have a null witness_constructive
         rows = build_rows(ScanSpec(4, 300, (2, 3, 5, 7), 4), method)
         assert rows_to_json_bytes(rows) == json_reference(rows)
+
+    @pytest.mark.parametrize("method", ["constructive", "brute", "both"])
+    def test_csv_rows_match_csv_writer(self, method):
+        rows = build_rows(ScanSpec(4, 300, (2, 3, 5, 7), 4), method)
+        assert rows_to_csv_bytes(rows) == csv_reference(rows)
+
+    def test_enum_values_are_written_bare(self):
+        # the writers' row templates put Branch and Verdict values in as they are
+        for value in [b.value for b in Branch] + [v.value for v in Verdict]:
+            line = io.StringIO()
+            csv.writer(line, lineterminator="\n").writerow(["x", value])
+            assert line.getvalue() == f"x,{value}\n"
+            assert json.dumps(value) == f'"{value}"'
+
+    def test_rows_without_optional_columns_match_reference_writers(self):
+        optional = (7, 8, 9, 11, 12, 13, 14)
+        # q = 2 has no witness and no ledger; (19, 3, 2) under --method brute
+        # has no witness but a ledger; (13, 3, 2) under brute only an oracle witness
+        bare = compute_row(validate(7, 2, 1), "brute")
+        assert [bare[k] for k in optional] == [None] * 7
+        rows = [
+            bare,
+            compute_row(validate(7, 2, 1), "both"),
+            compute_row(validate(19, 3, 2), "brute"),
+            compute_row(validate(13, 3, 2), "brute"),
+        ]
+        assert rows[2][7:10] == (None,) * 3 and rows[3][7:9] == (None,) * 2
+        for k in range(len(rows) + 1):
+            assert rows_to_csv_bytes(rows[:k]) == csv_reference(rows[:k])
+            assert rows_to_json_bytes(rows[:k]) == json_reference(rows[:k])
 
     def test_json_edge_rows_match_json_dumps(self):
         empty = build_rows(ScanSpec(5, 5, (5,), 1))
@@ -329,6 +390,21 @@ class TestAtomicWrite:
         atomic_write(str(target), b"{}\n")
         assert target.read_bytes() == b"{}\n"
         assert target.stat().st_mode & 0o777 == 0o640
+
+    def test_existing_file_is_replaced_by_rename(self, tmp_path):
+        # temp file and rename, not a rewrite in place: a second hard link
+        # keeps the old bytes, and the target is a new inode
+        target = tmp_path / "out.json"
+        target.write_bytes(b"old\n")
+        link = tmp_path / "link.json"
+        os.link(target, link)
+        old_inode = target.stat().st_ino
+        atomic_write(str(target), b"{}\n")
+        assert target.read_bytes() == b"{}\n"
+        assert link.read_bytes() == b"old\n"
+        assert target.stat().st_ino != old_inode
+        assert link.stat().st_ino == old_inode
+        assert sorted(f.name for f in tmp_path.iterdir()) == ["link.json", "out.json"]
 
     def test_symlink_is_written_through(self, tmp_path):
         (tmp_path / "real").mkdir()
