@@ -1,12 +1,14 @@
 """Validated curve parameters and sufficiency-condition classification.
 
 A parameter triple (n, p, r) describes a superelliptic curve y^q = f(x)
-with q = p^r, p prime, p not dividing n = deg(f), and n >= 4.  The
-classifier evaluates, by pure integer arithmetic, the conditions under
-which the Hodge group of the new part of the jacobian is determined.
+with q = p^r, p prime, p not dividing n = deg(f), and n >= 4.  CurveParams
+checks these hypotheses when it is built, so every CurveParams satisfies
+them and no code downstream restates them.  The classifier evaluates, by
+pure integer arithmetic, the conditions under which the Hodge group of the
+new part of the jacobian is determined.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import ParameterError
 
@@ -76,17 +78,46 @@ def require_prime(p: int) -> None:
 
 @dataclass(frozen=True)
 class CurveParams:
-    """Immutable validated parameters; build them through validate()."""
+    """Immutable parameters (n, p, r) with q = p^r, checked when built.
+
+    CurveParams(n, p, r) raises ParameterError on bad input, its message
+    naming the failed check; dataclasses.replace re-runs the checks.  q is
+    not an argument: it is set to p^r.
+    """
 
     n: int
     p: int
     r: int
-    q: int
+    q: int = field(init=False)
+
+    def __post_init__(self) -> None:
+        n, p, r = self.n, self.p, self.r
+        require_bounded("n", n)
+        require_bounded("r", r)
+        if r < 1:
+            raise ParameterError(f"r = {r}; the exponent must be at least 1")
+        require_prime(p)
+        if n < 4:
+            raise ParameterError(f"n = {n}; the degree must be at least 4")
+        if n % p == 0:
+            raise ParameterError(f"p = {p} divides n = {n}")
+        # q = p^r is refused above 2^40; p >= 2, so r > 40 is refused before p**r.
+        if r > 40:
+            raise ParameterError(f"q = {p}^{r} exceeds the supported bound 2^40")
+        q = p**r
+        if q > MAX_SUPPORTED:
+            raise ParameterError(f"q = {p}^{r} = {q} exceeds the supported bound 2^40")
+        object.__setattr__(self, "q", q)
 
     @property
     def phi(self) -> int:
         """Euler phi of q = p^r, i.e. p^(r-1) * (p - 1)."""
         return self.q // self.p * (self.p - 1)
+
+
+# validate(n, p, r) is CurveParams(n, p, r), under the name that the CLI,
+# the scanner and perfbench call.
+validate = CurveParams
 
 
 @dataclass(frozen=True)
@@ -112,29 +143,6 @@ class ConditionStatus:
     product_applicable: bool
 
 
-def validate(n: int, p: int, r: int) -> CurveParams:
-    """Check (n, p, r) and return CurveParams with q = p^r.
-
-    Raises ParameterError on bad input, its message naming the failed check.
-    """
-    require_bounded("n", n)
-    require_bounded("r", r)
-    if r < 1:
-        raise ParameterError(f"r = {r}; the exponent must be at least 1")
-    require_prime(p)
-    if n < 4:
-        raise ParameterError(f"n = {n}; the degree must be at least 4")
-    if n % p == 0:
-        raise ParameterError(f"p = {p} divides n = {n}")
-    # q = p^r is refused above 2^40; p >= 2, so r > 40 is refused before p**r.
-    if r > 40:
-        raise ParameterError(f"q = {p}^{r} exceeds the supported bound 2^40")
-    q = p**r
-    if q > MAX_SUPPORTED:
-        raise ParameterError(f"q = {p}^{r} = {q} exceeds the supported bound 2^40")
-    return CurveParams(n=n, p=p, r=r, q=q)
-
-
 def prime_route_case(n: int, p: int, q: int) -> str | None:
     """Where the odd-prime witness route applies: case "i" when q < n < 2q,
     case "ii" when p is odd and p is coprime to n - 1 or n < 2q; else None."""
@@ -147,8 +155,9 @@ def prime_route_case(n: int, p: int, q: int) -> str | None:
 
 def q_route_applies(n: int, p: int, q: int) -> bool:
     """Where the general prime-power witness route applies: q does not divide
-    n - 1; for p = 2 also q > 2 and n is not q - 1 modulo 2q."""
-    return (n - 1) % q != 0 and (p != 2 or (q > 2 and n % (2 * q) != q - 1))
+    n - 1; for p = 2 also n is not q - 1 modulo 2q."""
+    # At q = 2 every valid n is odd, so q divides n - 1: no q > 2 test.
+    return (n - 1) % q != 0 and (p != 2 or n % (2 * q) != q - 1)
 
 
 def classify(params: CurveParams) -> ConditionStatus:
@@ -171,5 +180,6 @@ def classify(params: CurveParams) -> ConditionStatus:
         witness_prime_case=case,
         witness_q_applicable=q_route_applies(n, p, q),
         theorem_applicable=n_gt_q and (holds_a or holds_b or holds_c),
-        product_applicable=odd and (n * (n - 1)) % p != 0,
+        # n*(n - 1) is even, so this is false at p = 2: no test that p is odd.
+        product_applicable=(n * (n - 1)) % p != 0,
     )

@@ -224,9 +224,10 @@ def _verify_branch(params: CurveParams, w: Witness) -> bool:
     if inverse or br is Branch.BEZOUT_CANDIDATE_0 or br is Branch.BEZOUT_CANDIDATE_1:
         tr = derivation_trace(params)
         t, dp, qp = tr.t, tr.d_prime, tr.q_prime
-        # ModularInverse at t = 1 with p coprime to d, a Bezout candidate at
-        # t > 1 with p | d (when q is a power of p, p | d exactly when t > 1).
-        if tr.d < 1 or inverse != (t == 1) or inverse != (tr.d % p != 0):
+        # ModularInverse at t = 1, a Bezout candidate at t > 1.  As q is a power
+        # of p, t > 1 exactly when p | d, and at d = 0 (t = q, q' = 1) no i0 lies
+        # in 1..q' - 1 below: neither needs a test of its own.
+        if inverse != (t == 1):
             return False
         eps = 1 if br is Branch.BEZOUT_CANDIDATE_1 else 0
         i0 = w.i - eps * qp
@@ -250,10 +251,10 @@ def _verify_branch(params: CurveParams, w: Witness) -> bool:
         return w.floor_value == 1 and w.i == mu + (mu % p == 0) and (p != 2 or n > q) and br is label
 
     # n = k*q - 1 gives floor(n*i/q) = k*i - 1; at q <= 2, i = q/2 - 1 is out of range.
+    # Odd k is n = q - 1 mod 2q, where no i passes the gcd check: no test that k is even.
     if br is not Branch.POWER2_SPECIAL or p != 2 or (n + 1) % q != 0:
         return False  # an unknown branch, or Power2Special off q | n + 1
-    k = (n + 1) // q  # odd k is n = q - 1 mod 2q: no witness there
-    return k % 2 == 0 and w.i == q // 2 - 1
+    return w.i == q // 2 - 1
 
 
 def verify_witness(params: CurveParams, w: Witness) -> bool:

@@ -3,8 +3,10 @@ import time
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hodgecert import (
+    CurveParams,
     ParameterError,
     ScanSpec,
     classify,
@@ -107,6 +109,25 @@ class TestValidate:
     def test_huge_exponent_rejected_quickly(self):
         with pytest.raises(ParameterError, match=r"q = 3\^1000000000 exceeds the supported bound"):
             validate(5, 3, 10**9)
+
+    def test_validate_is_the_constructor(self):
+        assert validate is CurveParams
+        assert validate(5, 3, 1) == CurveParams(5, 3, 1)
+
+    @settings(max_examples=500)
+    @given(st.integers(-3, 300), st.integers(-2, 60), st.integers(-2, 6))
+    def test_built_exactly_where_the_hypotheses_hold(self, n, p, r):
+        """Within this box (q <= 60^6 < 2^40) CurveParams(n, p, r) refuses
+        exactly the triples off r >= 1, p prime, n >= 4 and p not dividing n,
+        and what it builds has q = p^r."""
+        prime = p >= 2 and all(p % f for f in range(2, p))
+        try:
+            params = CurveParams(n, p, r)
+        except ParameterError:
+            assert not (r >= 1 and prime and n >= 4 and n % p != 0)
+            return
+        assert r >= 1 and prime and n >= 4 and n % p != 0
+        assert (params.n, params.p, params.r, params.q) == (n, p, r, p**r)
 
 
 # More than 4,300 digits: Python refuses to write these ints in decimal, so

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import re
 import time
 from collections import Counter
 from dataclasses import replace
@@ -252,28 +253,20 @@ class TestVerify:
                 hits[check] += 1
         assert set(hits) == set(FORGERIES)
 
-    # Reachable only from params validate never builds: p | d with
-    # 1 <= d <= q - 2 forces p <= t < q when q is a power of p, q does not
-    # divide n - 1 gives d >= 1, and at p = 2, n = k*q - 1 with k odd no i
-    # passes the gcd(floor, n - 1) check.  All but the second are refused by
-    # one check only: t = 1, p | d, d < 1 and odd k.
+    # The verifier reads only parameters that CurveParams checked when it
+    # built them: q = p^r, p prime, n >= 4 and p not dividing n.  So it has
+    # no test of d >= 1, of p | d beside t > 1, or of Power2Special's k even.
+    # Each case is a forgery that once reached one of those tests through a
+    # hand-built q; now q cannot be passed, and (n, p, r) alone is refused
+    # or gives q = p^r, where the witness is refused.
     @pytest.mark.parametrize(
-        "params, w",
+        "n, p, r, q, w, refusal",
         [
-            (
-                CurveParams(n=4, p=3, r=1, q=5),
-                Witness(2, 1, Branch.BEZOUT_CANDIDATE_0, determinant_check=1),
-            ),
-            (CurveParams(n=8, p=2, r=1, q=3), Witness(1, 2, Branch.POWER2_SPECIAL)),
-            (
-                CurveParams(n=4, p=3, r=1, q=5),
-                Witness(2, 1, Branch.MODULAR_INVERSE, determinant_check=1),
-            ),
-            (
-                CurveParams(n=10, p=3, r=1, q=5),
-                Witness(4, 8, Branch.MODULAR_INVERSE, determinant_check=1),
-            ),
-            (CurveParams(n=14, p=2, r=1, q=5), Witness(1, 2, Branch.POWER2_SPECIAL)),
+            (4, 3, 1, 5, Witness(2, 1, Branch.BEZOUT_CANDIDATE_0, determinant_check=1), None),
+            (8, 2, 1, 3, Witness(1, 2, Branch.POWER2_SPECIAL), "p = 2 divides n = 8"),
+            (4, 3, 1, 5, Witness(2, 1, Branch.MODULAR_INVERSE, determinant_check=1), None),
+            (10, 3, 1, 5, Witness(4, 8, Branch.MODULAR_INVERSE, determinant_check=1), None),
+            (14, 2, 1, 5, Witness(1, 2, Branch.POWER2_SPECIAL), "p = 2 divides n = 14"),
         ],
         ids=[
             "Bezout with t < 2",
@@ -283,8 +276,23 @@ class TestVerify:
             "Power2Special at odd k only",
         ],
     )
-    def test_rejects_forgery_beyond_validated_params(self, params, w):
-        assert not verify_witness(params, w)
+    def test_rejects_forgery_beyond_validated_params(self, n, p, r, q, w, refusal):
+        with pytest.raises(TypeError, match="unexpected keyword argument 'q'"):
+            CurveParams(n=n, p=p, r=r, q=q)
+        if refusal is None:
+            params = CurveParams(n, p, r)
+            assert params.q == p**r
+            assert not verify_witness(params, w)
+        else:
+            with pytest.raises(ParameterError, match=f"^{re.escape(refusal)}$"):
+                CurveParams(n, p, r)
+
+    def test_params_beyond_validation_cannot_be_built(self):
+        # so verify_witness never divides by n = 0
+        with pytest.raises(ParameterError, match="^n = 0; the degree must be at least 4$"):
+            CurveParams(0, 3, 1)
+        with pytest.raises(ParameterError, match="^p = 3 divides n = 9$"):
+            replace(validate(5, 3, 1), n=9)
 
 
 FORGERIES = (
@@ -298,6 +306,8 @@ FORGERIES = (
     "MultiplierSearch multiplier",
     "MultiplierSearch at mu + 1",
     "ModularInverse with p | d",
+    "ModularInverse relabelled BezoutCandidate0",
+    "BezoutCandidate0 relabelled ModularInverse",
     "ModularInverse with Bezout data",
     "ModularInverse at a non-inverse i",
     "Bezout with p coprime to d",
@@ -319,7 +329,8 @@ def forged_witnesses(params):
     tr = derivation_trace(params)
     d = tr.d
     oracle = brute_force_witness(params)
-    built = constructive_witness(params, classify(params))
+    conds = classify(params)
+    built = constructive_witness(params, conds)
     for i in range(-1, -q, -1):
         if i % p and math.gcd(n * i // q, n - 1) == 1:
             yield "i below 1", Witness(i, n * i // q, Branch.BRUTE_FORCE)
@@ -375,6 +386,18 @@ def forged_witnesses(params):
     if built is not None and built.branch is Branch.MODULAR_INVERSE:
         j = (d * built.i - 1) // q  # the t = 1 solution of d*i - q*j = 1
         yield "ModularInverse with Bezout data", replace(built, bezout=BezoutData(d, q, j))
+    # At t = 1 the base solution is i = d^-1 mod q itself, so the two labels
+    # differ only in the test that ModularInverse holds exactly at t = 1.
+    relabelled = {
+        Branch.MODULAR_INVERSE: Branch.BEZOUT_CANDIDATE_0,
+        Branch.BEZOUT_CANDIDATE_0: Branch.MODULAR_INVERSE,
+    }
+    if conds.witness_q_applicable:
+        via_q = constructive_witness_q(params)
+        if via_q.branch in relabelled:
+            other = relabelled[via_q.branch]
+            check = f"{via_q.branch.value} relabelled {other.value}"
+            yield check, replace(via_q, branch=other)
     if d >= 1 and tr.t > 1:
         # the base solution of d'*i - q'*j = 1 where only floor((t + i + q')/q) = 0 fails
         dp, qp = tr.d_prime, tr.q_prime
@@ -435,14 +458,23 @@ def test_witness_and_certificate_bytes_pinned_on_small_grid():
 
 
 def test_no_witness_family_small():
-    """n = k*q + 1 with k >= 2 never has a witness."""
-    for p, r in ((2, 2), (2, 3), (3, 1), (3, 2), (5, 1)):
-        q = p**r
-        for k in range(2, 12):
-            n = k * q + 1
-            if n % p == 0 or n > 2000:
-                continue
-            assert brute_force_witness(validate(n, p, r)) is None, (n, p, r)
+    """No witness exists exactly where n = k*q + 1 with k >= 2, or p = 2 and
+    n = q - 1 mod 2q; there g = k, or 2, divides n - 1 and every admissible
+    floor(n*i/q), so no floor is coprime to n - 1."""
+    none = 0
+    for params in small_grid():
+        n, p, q = params.n, params.p, params.q
+        k, c = divmod(n, q)
+        kq_plus_1 = c == 1 and k >= 2
+        odd_k_power2 = p == 2 and n % (2 * q) == q - 1
+        oracle = brute_force_witness(params)
+        assert (oracle is None) == (kq_plus_1 or odd_k_power2), params
+        if oracle is None:
+            none += 1
+            g = k if kq_plus_1 else 2
+            assert (n - 1) % g == 0
+            assert all(n * i // q % g == 0 for i in range(1, q) if i % p), params
+    assert none == 665  # of the 3,863 points
 
 
 @settings(max_examples=200)
