@@ -94,7 +94,7 @@ def cmd_scan(args: argparse.Namespace) -> bytes:
 def cmd_witness(args: argparse.Namespace) -> bytes:
     params = validate(args.n, args.p, args.r)
     conds = classify(params)
-    constructive, brute = method_witnesses(params, conds, args.method)
+    constructive, brute = method_witnesses(params, args.method)
     if args.method == "brute":
         constructive = None
     body = {

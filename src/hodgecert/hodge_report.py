@@ -86,18 +86,17 @@ def certify_single(params: CurveParams) -> HodgeCertificate:
     conditions hold; the dimension ledger is populated either way."""
     if params.q == 2:
         raise ParameterError("q = 2 certificates are out of scope")
-    conds = classify(params)
-    return certificate_from_witness(params, conds, constructive_witness(params, conds))
+    return certificate_from_witness(params, classify(params), constructive_witness(params))
 
 
 def verdict_from_witness(
     params: CurveParams, conds: ConditionStatus, witness: Witness | None
 ) -> Verdict:
     """The verdict for q > 2 from conds = classify(params) and witness =
-    constructive_witness(params, conds), the one rule of certificates and scan
-    rows.  A verified witness i is a tau with gcd(floor(n*i/q), n-1) = 1, and
-    for n > q the multiplicities are distinct and positive, so Determined
-    needs only n > q and a witness.  For q > 2 that is conds.theorem_applicable
+    constructive_witness(params), the one rule of certificates and scan rows.
+    A verified witness i is a tau with gcd(floor(n*i/q), n-1) = 1, and for
+    n > q the multiplicities are distinct and positive, so Determined needs
+    only n > q and a witness.  For q > 2 that is conds.theorem_applicable
     (odd p: prime-power route = B, odd-prime case i = A, case ii implies B;
     p = 2: odd-prime = A, prime-power = C); a disagreement raises."""
     if conds.theorem_applicable != (conds.n_gt_q and witness is not None):

@@ -338,15 +338,13 @@ def _check_method(method: str) -> None:
         raise ParameterError(f"unknown method {method!r}")
 
 
-def method_witnesses(
-    params: CurveParams, conds: ConditionStatus, method: str
-) -> tuple[Witness | None, Witness | None]:
+def method_witnesses(params: CurveParams, method: str) -> tuple[Witness | None, Witness | None]:
     """(constructive, oracle) witnesses at one point for a --method.  The
     constructive one is always built, as it feeds the verdict; the oracle
     runs unless method is "constructive", and must find a witness exactly
     where a route applies (else InternalInvariantError)."""
     _check_method(method)
-    built = constructive_witness(params, conds)
+    built = constructive_witness(params)
     brute = None
     if method != "constructive":
         brute = brute_force_witness(params)
@@ -363,7 +361,7 @@ def compute_row(params: CurveParams, method: str = "both") -> ScanRow:
     verdict, by the rule certify uses, conditions-vs-witness check included;
     method picks the columns."""
     conds = classify(params)
-    built, brute = method_witnesses(params, conds, method)
+    built, brute = method_witnesses(params, method)
     # No verdict at q = 2: the dimension ledger is undefined there.
     verdict = None if params.q == 2 else verdict_from_witness(params, conds, built)
     return row_to_dict(params, conds, verdict, None if method == "brute" else built, brute)
@@ -434,9 +432,10 @@ def run_cross_validate(spec: ScanSpec) -> dict:
     }
     for params in _grid(spec):
         conds = classify(params)
-        built, _ = method_witnesses(params, conds, "both")
+        built, _ = method_witnesses(params, "both")
         if conds.witness_prime_applicable and conds.witness_q_applicable:
-            # the route constructive_witness passed over; returns only a verified witness
+            # returns only a verified witness: below 2q the decision built the
+            # odd-prime route's, and above 2q the odd-prime route returns this one
             constructive_witness_q(params)
         report["points"] += 1
         report["prime_construction_checked"] += conds.witness_prime_applicable

@@ -6,7 +6,8 @@ part of the Hodge group of the new part is everything the Hermitian form
 allows.  Witnesses are produced two ways: constructively (below 2q, the
 smallest i prime to p with n*i > q, so floor(n*i/q) = 1; elsewhere solutions
 of d*i - q*j = t with t = gcd(d, q), whose t = 1 case is i = d^-1 mod q) and
-by an exhaustive scan used as an independent oracle.
+by an exhaustive scan used as an independent oracle.  constructive_witness
+decides which constructive witness a point gets from (n, p, q) alone.
 
 The builders only construct.  Every producer returns through one exit,
 _verified: verify_witness recomputes each invariant of the witness and of
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .errors import InternalInvariantError, ParameterError
-from .params import ConditionStatus, CurveParams, prime_route_case, q_route_applies
+from .params import CurveParams, prime_route_case, q_route_applies
 
 __all__ = [
     "BezoutData",
@@ -29,8 +30,6 @@ __all__ = [
     "Witness",
     "brute_force_witness",
     "constructive_witness",
-    "constructive_witness_prime",
-    "constructive_witness_q",
     "derivation_trace",
     "verify_witness",
 ]
@@ -153,23 +152,20 @@ def constructive_witness_prime(params: CurveParams) -> Witness:
     n, p, q = params.n, params.p, params.q
     if prime_route_case(n, p, q) is None:
         raise ParameterError(f"odd-prime witness route does not apply at n = {n}, p = {p}, q = {q}")
-    if n < 2 * q:  # p is odd unless q < n
-        # The smallest i prime to p with n*i > q.  floor(n*i/q) = 1: q < mu*n < q + n
-        # as p does not divide n, and if p divides mu, then mu > 2, so (mu + 1)*n < 2q.
-        mu = -(-q // n)  # ceil(q/n)
-        i = mu + (mu % p == 0)
-        if n > q:
-            branch = Branch.CASE_A_I1
-        else:
-            branch = Branch.HALF_RANGE_I2 if 2 * n > q else Branch.MULTIPLIER_SEARCH
-        w = Witness(i=i, floor_value=n * i // q, branch=branch)
+    if n > 2 * q:  # p odd and coprime to n - 1, so t = 1: the prime-power route's ModularInverse
+        return constructive_witness_q(params)
+    # p is odd unless q < n.  The smallest i prime to p with n*i > q.  floor(n*i/q) = 1:
+    # q < mu*n < q + n as p does not divide n, and if p divides mu, then mu > 2, so (mu + 1)*n < 2q.
+    mu = -(-q // n)  # ceil(q/n)
+    i = mu + (mu % p == 0)
+    if n > q:
+        branch = Branch.CASE_A_I1
     else:
-        # Remaining range: n > 2q with p coprime to n - 1, hence to d, so t = 1.
-        w = _inverse_witness(params, derivation_trace(params))
-    return _verified(params, w)
+        branch = Branch.HALF_RANGE_I2 if 2 * n > q else Branch.MULTIPLIER_SEARCH
+    return _verified(params, Witness(i=i, floor_value=n * i // q, branch=branch))
 
 
-def _inverse_witness(params: CurveParams, tr: DerivationTrace) -> Witness:
+def _inverse_witness(params: CurveParams) -> Witness:
     """Solve d'*i - q'*j = 1, so d*i - q*j = t, from i0 = d'^-1 mod q'.
 
     At t = 1 the base solution is i = d^-1 mod q (ModularInverse).  At t > 1,
@@ -177,6 +173,7 @@ def _inverse_witness(params: CurveParams, tr: DerivationTrace) -> Witness:
     (BezoutCandidate0/1).  Needs d >= 1, i.e. q does not divide n - 1.
     """
     n, q = params.n, params.q
+    tr = derivation_trace(params)
     t, dp, qp = tr.t, tr.d_prime, tr.q_prime
     assert tr.d >= 1  # so t <= d < q: q' >= 2 is a power of p, coprime to d'
 
@@ -208,7 +205,7 @@ def constructive_witness_q(params: CurveParams) -> Witness:
         i = q // 2 - 1
         w = Witness(i=i, floor_value=n * i // q, branch=Branch.POWER2_SPECIAL)
     else:
-        w = _inverse_witness(params, derivation_trace(params))
+        w = _inverse_witness(params)
     return _verified(params, w)
 
 
@@ -271,11 +268,10 @@ def verify_witness(params: CurveParams, w: Witness) -> bool:
     return _verify_branch(params, w)
 
 
-def constructive_witness(params: CurveParams, conds: ConditionStatus) -> Witness | None:
-    """The verified witness of the first route conds = classify(params) allows
-    (odd-prime, then prime-power), or None."""
-    if conds.witness_prime_applicable:
+def constructive_witness(params: CurveParams) -> Witness | None:
+    """The verified witness at params, or None where no constructive route
+    applies: the floor-one rule below 2q, else the prime-power route."""
+    n, p, q = params.n, params.p, params.q
+    if n < 2 * q and prime_route_case(n, p, q) is not None:
         return constructive_witness_prime(params)
-    if conds.witness_q_applicable:
-        return constructive_witness_q(params)
-    return None
+    return constructive_witness_q(params) if q_route_applies(n, p, q) else None

@@ -22,8 +22,6 @@ from hodgecert import (
     certify_product,
     certify_single,
     classify,
-    constructive_witness_prime,
-    constructive_witness_q,
     is_prime,
     ledger,
     multiplicities,
@@ -33,6 +31,7 @@ from hodgecert import (
     verify_witness,
 )
 from hodgecert.cli import main
+from hodgecert.witness import constructive_witness_prime, constructive_witness_q
 from cyclo_oracle import center_dimension_oracle, phi_count
 from lie_combinatorics import EigenPair, EigenSystem, greedy_compatible_subset
 from support import exhaustive_best_subset, pairs_valid

@@ -131,7 +131,7 @@ class TestCertifySingle:
         conds = classify(params)
         cert = certify_single(params)
         determined = cert.verdict is Verdict.DETERMINED
-        has_route = params.n > params.q and constructive_witness(params, conds) is not None
+        has_route = params.n > params.q and constructive_witness(params) is not None
         assert determined == conds.theorem_applicable == has_route
         if determined:
             assert verify_witness(params, cert.witness)
@@ -164,7 +164,7 @@ class TestCertifyInvariants:
     def test_conditions_disagreeing_with_witness_raise(self, point, applicable, with_witness):
         params = validate(*point)
         conds = classify(params)
-        witness = constructive_witness(params, conds) if with_witness else None
+        witness = constructive_witness(params) if with_witness else None
         forged = dataclasses.replace(conds, theorem_applicable=applicable)
         with pytest.raises(InternalInvariantError, match="conditions and witness disagree at n = "):
             certificate_from_witness(params, forged, witness)

@@ -213,16 +213,24 @@ class TestRowMatchesCertificate:
         for name in ("constructive_witness_prime", "constructive_witness_q"):
             original = getattr(hodgecert.witness, name)
 
-            def counted(params, _original=original):
-                calls.append(params)
+            def counted(params, _original=original, _name=name):
+                calls.append(_name)
                 return _original(params)
 
             monkeypatch.setattr(hodgecert.witness, name, counted)
-        # odd-prime route only, general route only, both routes, no route
-        for (n, p, r), builds in (((10, 3, 2), 1), ((31, 3, 2), 1), ((11, 3, 2), 1), ((19, 3, 2), 0)):
+        # odd-prime route only, general route only, both routes below 2q, both
+        # routes above 2q (where the odd-prime route would only pass through to
+        # the prime-power one), no route
+        for point, builds in (
+            ((10, 3, 2), ["constructive_witness_prime"]),
+            ((31, 3, 2), ["constructive_witness_q"]),
+            ((11, 3, 2), ["constructive_witness_prime"]),
+            ((23, 3, 2), ["constructive_witness_q"]),
+            ((19, 3, 2), []),
+        ):
             calls.clear()
-            compute_row(validate(n, p, r), method="both")
-            assert len(calls) == builds
+            compute_row(validate(*point), method="both")
+            assert calls == builds, point
 
 
 class TestSerialization:
@@ -493,7 +501,6 @@ class TestCrossValidate:
         import hodgecert.scanner
         import hodgecert.witness
 
-        # (5, 3, 1): q < n < 2q and q does not divide n - 1, so both routes apply
         calls = []
         for name in ("constructive_witness_prime", "constructive_witness_q", "brute_force_witness"):
             real = getattr(hodgecert.witness, name)
@@ -505,6 +512,7 @@ class TestCrossValidate:
             for module in (hodgecert.witness, hodgecert.scanner):
                 if hasattr(module, name):
                     monkeypatch.setattr(module, name, counted)
+        # (5, 3, 1): q < n < 2q and q does not divide n - 1, so both routes apply
         report = run_cross_validate(ScanSpec(5, 5, (3,), 1))
         assert sorted(calls) == [
             "brute_force_witness",
@@ -514,6 +522,22 @@ class TestCrossValidate:
         assert report == {
             "points": 1,
             "prime_construction_checked": 1,
+            "general_construction_checked": 1,
+            "oracle_agreements": 1,
+            "disagreements": 0,
+        }
+        # (31, 3, 2): p divides n - 1 above 2q, so only the prime-power route
+        # applies; at (31, 3, 1) q divides n - 1, so no route applies
+        calls.clear()
+        report = run_cross_validate(ScanSpec(31, 31, (3,), 2))
+        assert sorted(calls) == [
+            "brute_force_witness",
+            "brute_force_witness",
+            "constructive_witness_q",
+        ]
+        assert report == {
+            "points": 2,
+            "prime_construction_checked": 0,
             "general_construction_checked": 1,
             "oracle_agreements": 1,
             "disagreements": 0,

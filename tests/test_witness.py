@@ -20,15 +20,13 @@ from hodgecert import (
     certify_single,
     classify,
     constructive_witness,
-    constructive_witness_prime,
-    constructive_witness_q,
     derivation_trace,
     render_json,
     to_report,
     validate,
     verify_witness,
 )
-from hodgecert.witness import MAX_ORACLE_Q
+from hodgecert.witness import MAX_ORACLE_Q, constructive_witness_prime, constructive_witness_q
 from support import small_grid, valid_params
 
 
@@ -182,7 +180,7 @@ class TestConstructiveWitness:
     def test_picks_the_route(self):
         for params in small_grid(max_q=81, max_n=120):
             conds = classify(params)
-            w = constructive_witness(params, conds)
+            w = constructive_witness(params)
             if conds.witness_prime_applicable:
                 assert w == constructive_witness_prime(params)
             elif conds.witness_q_applicable:
@@ -330,7 +328,7 @@ def forged_witnesses(params):
     d = tr.d
     oracle = brute_force_witness(params)
     conds = classify(params)
-    built = constructive_witness(params, conds)
+    built = constructive_witness(params)
     for i in range(-1, -q, -1):
         if i % p and math.gcd(n * i // q, n - 1) == 1:
             yield "i below 1", Witness(i, n * i // q, Branch.BRUTE_FORCE)
@@ -442,7 +440,7 @@ def test_witness_and_certificate_bytes_pinned_on_small_grid():
     digest = hashlib.sha256()
     branches, bumped = set(), 0
     for params in small_grid():
-        w = constructive_witness(params, classify(params))
+        w = constructive_witness(params)
         digest.update(render_json(to_report(w)))
         if params.q > 2:
             digest.update(render_json(to_report(certify_single(params))))
@@ -499,6 +497,17 @@ def test_constructive_prime_sound(params):
         return
     w = constructive_witness_prime(params)
     assert verify_witness(params, w)
+
+
+@settings(max_examples=300)
+@given(valid_params(max_q=729, max_n=3000))
+def test_constructive_witness_sound(params):
+    """The decision's witness verifies, and it is None exactly where the
+    oracle finds no witness."""
+    w = constructive_witness(params)
+    assert (w is None) == (brute_force_witness(params) is None)
+    if w is not None:
+        assert verify_witness(params, w)
 
 
 @settings(max_examples=300)
