@@ -36,6 +36,7 @@ from .params import (
     validate,
 )
 from .witness import (
+    FLOOR_ONE_BRANCHES,
     MAX_ORACLE_Q,
     Witness,
     brute_force_witness,
@@ -433,9 +434,9 @@ def run_cross_validate(spec: ScanSpec) -> dict:
     for params in _grid(spec):
         conds = classify(params)
         built, _ = method_witnesses(params, "both")
-        if conds.witness_prime_applicable and conds.witness_q_applicable:
-            # returns only a verified witness: below 2q the decision built the
-            # odd-prime route's, and above 2q the odd-prime route returns this one
+        if conds.witness_q_applicable and built.branch in FLOOR_ONE_BRANCHES:
+            # the decision took the odd-prime route; any other witness it built
+            # is the prime-power route's, which above 2q is the odd-prime one's
             constructive_witness_q(params)
         report["points"] += 1
         report["prime_construction_checked"] += conds.witness_prime_applicable

@@ -53,6 +53,9 @@ class Branch(Enum):
     BRUTE_FORCE = "BruteForce"              # exhaustive oracle scan
 
 
+FLOOR_ONE_BRANCHES = (Branch.CASE_A_I1, Branch.HALF_RANGE_I2, Branch.MULTIPLIER_SEARCH)
+
+
 @dataclass(frozen=True)
 class BezoutData:
     """Base solution of d'*i - q'*j = 1 with 0 < i <= q' - 1, j >= 0."""
@@ -147,13 +150,12 @@ def brute_force_witness(params: CurveParams) -> Witness | None:
 
 
 def constructive_witness_prime(params: CurveParams) -> Witness:
-    """Construct a witness via the odd-prime route, where prime_route_case
-    allows it: the floor-one rule below 2q, the modular inverse above."""
+    """Construct the odd-prime route's floor-one witness, below 2q where
+    prime_route_case allows it.  Above 2q the route applies only where p is odd and
+    coprime to n - 1, so t = 1: its witness is the prime-power route's ModularInverse."""
     n, p, q = params.n, params.p, params.q
-    if prime_route_case(n, p, q) is None:
-        raise ParameterError(f"odd-prime witness route does not apply at n = {n}, p = {p}, q = {q}")
-    if n > 2 * q:  # p odd and coprime to n - 1, so t = 1: the prime-power route's ModularInverse
-        return constructive_witness_q(params)
+    if n > 2 * q or prime_route_case(n, p, q) is None:
+        raise ParameterError(f"floor-one witness rule does not apply at n = {n}, p = {p}, q = {q}")
     # p is odd unless q < n.  The smallest i prime to p with n*i > q.  floor(n*i/q) = 1:
     # q < mu*n < q + n as p does not divide n, and if p divides mu, then mu > 2, so (mu + 1)*n < 2q.
     mu = -(-q // n)  # ceil(q/n)

@@ -1,10 +1,10 @@
 """Mutation gate: every and/or operand and every `return False` guard in the
-checked modules is pinned by a Tier-1 test.
+witness, params, hodge_report and scanner modules is pinned by a Tier-1 test.
 
-    python tests/mutation.py [MODULE ...]   # default: witness params hodge_report scanner
+    python tests/mutation.py
 
-Two operators, applied one site at a time inside each function of a module
-of src/hodgecert:
+Two operators, applied one site at a time inside each function (top-level
+or a method) of those modules of src/hodgecert:
 
 - force one operand of an `and` to True, or of an `or` to False;
 - disable one `if ...: return False` guard (its test becomes False).
@@ -13,12 +13,17 @@ Each mutant rewrites only the text of that operand or test.  It is written
 into a temporary copy of src/, tests/, pyproject.toml and README.md, never
 into src/, and the whole Tier-1 suite runs on it in one pytest process,
 stopping at the first failure, with the module's own test file first.  A
-failure kills the mutant; so does a run past TIMEOUT_S, as a mutant may loop
-forever (is_prime without its m < 2 guard spins on m = 1).
+test failure kills the mutant.  A mutant may instead loop forever (is_prime
+without its m < 2 guard spins on m = 1), so each run is stopped after
+TIMEOUT_FACTOR times the unmutated suite's time, measured first on the same
+host.  Only a mutant listed in EXPECTED_TIMEOUTS is killed by a timeout;
+any other timeout fails the gate, as a surviving mutant that merely slows
+the suite would also time out.
 
-Prints a JSON summary of the killed and surviving mutants with their source
-text, and exits 1 if any mutant survives.  Needs pytest and hypothesis, and
-nothing else outside the standard library.
+Prints a JSON summary of the killed, surviving and timed-out mutants with
+their source text, and exits 1 if any mutant survives or times out
+unexpectedly.  Needs pytest and hypothesis, and nothing else outside the
+standard library.
 """
 
 import ast
@@ -33,7 +38,9 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 MODULES = ("witness", "params", "hodge_report", "scanner")
-TIMEOUT_S = 60
+TIMEOUT_FACTOR = 3
+# (module, function, mutated source) of each mutant that loops forever
+EXPECTED_TIMEOUTS = {("params", "is_prime", "m < 2")}
 # Copied into the temporary tree: the package, the tests, and the two files
 # the tests read from the repository root.
 TREE = ("src", "tests", "pyproject.toml", "README.md")
@@ -56,8 +63,9 @@ def mutation_sites(source: str) -> list[dict]:
     """Every mutation site inside a function of source, in source order: the
     expression to overwrite, its replacement and the enclosing function."""
     tree = ast.parse(source)
+    members = [n for c in tree.body if isinstance(c, ast.ClassDef) for n in c.body]
     sites = []
-    for func in ast.walk(tree):
+    for func in tree.body + members:
         if not isinstance(func, ast.FunctionDef):
             continue
         for node in ast.walk(func):
@@ -68,11 +76,7 @@ def mutation_sites(source: str) -> list[dict]:
                     sites.append(_site(source, func, operand, forced, f"{op} operand -> {forced}"))
             elif _is_false_guard(node):
                 sites.append(_site(source, func, node.test, "False", "return False guard off"))
-    # a nested function is walked twice, once from each enclosing def: keep the innermost
-    unique = {}
-    for site in sites:
-        unique[site["span"]] = site
-    return sorted(unique.values(), key=lambda s: s["span"])
+    return sorted(sites, key=lambda s: s["span"])
 
 
 def _site(source: str, func: ast.AST, node: ast.expr, replacement: str, operator: str) -> dict:
@@ -98,8 +102,9 @@ def mutate(source: str, site: dict) -> str:
     return mutant
 
 
-def run_tests(tree: Path, module: str) -> tuple[bool, str]:
-    """(killed, outcome) for the tree as it stands, by one pytest run."""
+def run_tests(tree: Path, module: str, timeout: float | None) -> str:
+    """The outcome of one pytest run on the tree as it stands: "passed",
+    "failed" or "timeout"."""
     tests = sorted((tree / "tests").glob("test_*.py"))
     own = tree / "tests" / f"test_{module}.py"
     ordered = ([own] if own in tests else []) + [t for t in tests if t != own]
@@ -109,17 +114,15 @@ def run_tests(tree: Path, module: str) -> tuple[bool, str]:
     ]
     env = {**os.environ, "PYTHONPATH": str(tree / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
     try:
-        done = subprocess.run(
-            command, cwd=tree, env=env, capture_output=True, timeout=TIMEOUT_S
-        )
+        done = subprocess.run(command, cwd=tree, env=env, capture_output=True, timeout=timeout)
     except subprocess.TimeoutExpired:
-        return True, "timeout"
-    return done.returncode != 0, "failed" if done.returncode else "passed"
+        return "timeout"
+    return "failed" if done.returncode else "passed"
 
 
-def main(modules: list[str]) -> int:
+def main() -> int:
     started = time.perf_counter()
-    killed, survived, counts = [], [], {}
+    killed, survived, timed_out, counts = [], [], [], {}
     with tempfile.TemporaryDirectory(prefix="hodgecert-mutation-") as tmp:
         tree = Path(tmp)
         for name in TREE:
@@ -128,10 +131,12 @@ def main(modules: list[str]) -> int:
                 shutil.copytree(source, target, ignore=SKIP)
             else:
                 shutil.copy2(source, target)
-        if run_tests(tree, "")[0]:
+        baseline = time.perf_counter()
+        if run_tests(tree, "", None) != "passed":
             print("the unmutated tree fails its tests", file=sys.stderr)
             return 2
-        for module in modules:
+        timeout = TIMEOUT_FACTOR * (time.perf_counter() - baseline)
+        for module in MODULES:
             path = tree / "src" / "hodgecert" / f"{module}.py"
             original = path.read_text(encoding="utf-8")
             sites = mutation_sites(original)
@@ -139,25 +144,33 @@ def main(modules: list[str]) -> int:
             try:
                 for site in sites:
                     path.write_text(mutate(original, site), encoding="utf-8")
-                    dead, outcome = run_tests(tree, module)
+                    outcome = run_tests(tree, module, timeout)
                     entry = {"module": module, "outcome": outcome, **site}
                     del entry["span"], entry["replacement"]
-                    (killed if dead else survived).append(entry)
-                    counts[module]["killed"] += dead
+                    if outcome == "passed":
+                        survived.append(entry)
+                    elif outcome == "failed" or (module, site["function"], site["source"]) in EXPECTED_TIMEOUTS:
+                        killed.append(entry)
+                        counts[module]["killed"] += 1
+                    else:
+                        timed_out.append(entry)
             finally:
                 path.write_text(original, encoding="utf-8")
     summary = {
         "modules": counts,
-        "mutants": len(killed) + len(survived),
+        "mutants": len(killed) + len(survived) + len(timed_out),
         "killed": len(killed),
         "survived": len(survived),
+        "timed_out": len(timed_out),
+        "timeout_s": round(timeout, 1),
         "seconds": round(time.perf_counter() - started, 1),
         "surviving": survived,
+        "timed_out_mutants": timed_out,
         "killed_mutants": killed,
     }
     print(json.dumps(summary, indent=2))
-    return 1 if survived else 0
+    return 1 if survived or timed_out else 0
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:] or list(MODULES)))
+    sys.exit(main())

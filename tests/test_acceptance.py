@@ -180,7 +180,7 @@ def test_criterion_6_determinant_identities_recomputed_across_grid():
                 witnesses = []
                 if conds.witness_q_applicable:
                     witnesses.append(constructive_witness_q(params))
-                if conds.witness_prime_applicable:
+                if conds.witness_prime_applicable and n < 2 * q:
                     witnesses.append(constructive_witness_prime(params))
 
                 for w in witnesses:

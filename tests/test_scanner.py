@@ -219,8 +219,8 @@ class TestRowMatchesCertificate:
 
             monkeypatch.setattr(hodgecert.witness, name, counted)
         # odd-prime route only, general route only, both routes below 2q, both
-        # routes above 2q (where the odd-prime route would only pass through to
-        # the prime-power one), no route
+        # routes above 2q (where the odd-prime route's witness is the
+        # prime-power one's), no route
         for point, builds in (
             ((10, 3, 2), ["constructive_witness_prime"]),
             ((31, 3, 2), ["constructive_witness_q"]),
@@ -540,6 +540,24 @@ class TestCrossValidate:
             "prime_construction_checked": 0,
             "general_construction_checked": 1,
             "oracle_agreements": 1,
+            "disagreements": 0,
+        }
+        # (23, 3, 1) and (23, 3, 2): above 2q, p odd and coprime to n - 1, so
+        # both routes apply and the odd-prime route's witness is the one the
+        # decision builds: one build per point
+        calls.clear()
+        report = run_cross_validate(ScanSpec(23, 23, (3,), 2))
+        assert sorted(calls) == [
+            "brute_force_witness",
+            "brute_force_witness",
+            "constructive_witness_q",
+            "constructive_witness_q",
+        ]
+        assert report == {
+            "points": 2,
+            "prime_construction_checked": 2,
+            "general_construction_checked": 2,
+            "oracle_agreements": 2,
             "disagreements": 0,
         }
 

@@ -129,17 +129,20 @@ class TestConstructivePrime:
         assert (w2.i, w2.branch) == (4, Branch.MULTIPLIER_SEARCH)
 
     def test_modular_inverse(self):
-        # n = 11, q = 3: d = 1, i = 1, floor = 3, gcd(3, 10) = 1
-        w = constructive_witness_prime(validate(11, 3, 1))
+        # n = 11, q = 3: above 2q the odd-prime route's witness is the
+        # prime-power route's; d = 1, i = 1, floor = 3, gcd(3, 10) = 1
+        w = constructive_witness(validate(11, 3, 1))
         assert (w.i, w.floor_value, w.branch) == (1, 3, Branch.MODULAR_INVERSE)
         assert w.determinant_check == 1
+        with pytest.raises(ParameterError, match="floor-one witness rule does not apply"):
+            constructive_witness_prime(validate(11, 3, 1))
 
     def test_precondition_rejected(self):
         # p even and outside (q, 2q)
-        with pytest.raises(ParameterError, match="odd-prime witness route does not apply"):
+        with pytest.raises(ParameterError, match="floor-one witness rule does not apply"):
             constructive_witness_prime(validate(21, 2, 3))
         # p odd but p | n - 1 and n > 2q
-        with pytest.raises(ParameterError, match="odd-prime witness route does not apply"):
+        with pytest.raises(ParameterError, match="floor-one witness rule does not apply"):
             constructive_witness_prime(validate(31, 3, 2))
 
 
@@ -181,12 +184,12 @@ class TestConstructiveWitness:
         for params in small_grid(max_q=81, max_n=120):
             conds = classify(params)
             w = constructive_witness(params)
-            if conds.witness_prime_applicable:
+            if conds.witness_prime_applicable and params.n < 2 * params.q:
                 assert w == constructive_witness_prime(params)
             elif conds.witness_q_applicable:
                 assert w == constructive_witness_q(params)
-            else:
-                assert w is None
+            else:  # above 2q the odd-prime route applies only where the prime-power one does
+                assert w is None and not conds.witness_prime_applicable
 
 
 class TestVerifiedExit:
@@ -418,7 +421,7 @@ def test_soundness_small_grid():
     for params in small_grid(max_q=128, max_n=300):
         cs = classify(params)
         oracle = None
-        if cs.witness_prime_applicable:
+        if cs.witness_prime_applicable and params.n < 2 * params.q:
             w = constructive_witness_prime(params)
             assert verify_witness(params, w), params
             oracle = brute_force_witness(params)
@@ -491,8 +494,8 @@ def test_complement_symmetry(params, raw_i):
 @given(valid_params(max_q=729, max_n=3000))
 def test_constructive_prime_sound(params):
     cs = classify(params)
-    if not cs.witness_prime_applicable:
-        with pytest.raises(ParameterError, match="odd-prime witness route does not apply"):
+    if not (cs.witness_prime_applicable and params.n < 2 * params.q):
+        with pytest.raises(ParameterError, match="floor-one witness rule does not apply"):
             constructive_witness_prime(params)
         return
     w = constructive_witness_prime(params)
