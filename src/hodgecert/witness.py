@@ -9,11 +9,12 @@ of d*i - q*j = t with t = gcd(d, q), whose t = 1 case is i = d^-1 mod q) and
 by an exhaustive scan used as an independent oracle.  constructive_witness
 decides which constructive witness a point gets from (n, p, q) alone.
 
-The builders only construct.  Every producer returns through one exit,
-_verified: verify_witness recomputes each invariant of the witness and of
-its branch from scratch, and a witness it rejects raises
-InternalInvariantError naming the branch and the point.  Where each
-constructive route applies is stated once, in params.
+Every producer returns a verified witness, else None.  Each route builder
+states its own domain, from the predicates in params, and returns None off
+it; the builders only construct, and return through one exit, _verified:
+verify_witness recomputes each invariant of the witness and of its branch
+from scratch, and a witness it rejects raises InternalInvariantError naming
+the branch and the point.
 """
 
 import math
@@ -149,13 +150,14 @@ def brute_force_witness(params: CurveParams) -> Witness | None:
     return None
 
 
-def constructive_witness_prime(params: CurveParams) -> Witness:
-    """Construct the odd-prime route's floor-one witness, below 2q where
-    prime_route_case allows it.  Above 2q the route applies only where p is odd and
-    coprime to n - 1, so t = 1: its witness is the prime-power route's ModularInverse."""
+def constructive_witness_prime(params: CurveParams) -> Witness | None:
+    """The odd-prime route's floor-one witness, below 2q where prime_route_case
+    allows it, verified; else None.  Above 2q the route applies only where p is
+    odd and coprime to n - 1, so t = 1: its witness is the prime-power route's
+    ModularInverse."""
     n, p, q = params.n, params.p, params.q
     if n > 2 * q or prime_route_case(n, p, q) is None:
-        raise ParameterError(f"floor-one witness rule does not apply at n = {n}, p = {p}, q = {q}")
+        return None
     # p is odd unless q < n.  The smallest i prime to p with n*i > q.  floor(n*i/q) = 1:
     # q < mu*n < q + n as p does not divide n, and if p divides mu, then mu > 2, so (mu + 1)*n < 2q.
     mu = -(-q // n)  # ceil(q/n)
@@ -167,14 +169,18 @@ def constructive_witness_prime(params: CurveParams) -> Witness:
     return _verified(params, Witness(i=i, floor_value=n * i // q, branch=branch))
 
 
-def _inverse_witness(params: CurveParams) -> Witness:
-    """Solve d'*i - q'*j = 1, so d*i - q*j = t, from i0 = d'^-1 mod q'.
+def constructive_witness_q(params: CurveParams) -> Witness | None:
+    """The prime-power route's witness where q_route_applies allows it,
+    verified; else None.  At p = 2 and q | n + 1 it is i = q/2 - 1; otherwise
+    it solves d'*i - q'*j = 1, so d*i - q*j = t, from i0 = d'^-1 mod q': i0
+    itself at t = 1 (ModularInverse), else i0, then i0 + q' (BezoutCandidate0/1)."""
+    n, p, q = params.n, params.p, params.q
+    if not q_route_applies(n, p, q):
+        return None
+    if p == 2 and (n + 1) % q == 0:  # then d = q - 2, so p | d; take i = q/2 - 1
+        i = q // 2 - 1
+        return _verified(params, Witness(i=i, floor_value=n * i // q, branch=Branch.POWER2_SPECIAL))
 
-    At t = 1 the base solution is i = d^-1 mod q (ModularInverse).  At t > 1,
-    i.e. p | d, the base solution and its shift by q' are tried in turn
-    (BezoutCandidate0/1).  Needs d >= 1, i.e. q does not divide n - 1.
-    """
-    n, q = params.n, params.q
     tr = derivation_trace(params)
     t, dp, qp = tr.t, tr.d_prime, tr.q_prime
     assert tr.d >= 1  # so t <= d < q: q' >= 2 is a power of p, coprime to d'
@@ -191,24 +197,9 @@ def _inverse_witness(params: CurveParams) -> Witness:
         i = i0 + eps * qp
         fv = n * i // q
         if math.gcd(fv, n - 1) == 1:  # d*i - q*(j0 + eps*d') = t*(d'*i0 - q'*j0) = t
-            return Witness(i=i, floor_value=fv, branch=branch, bezout=bez, determinant_check=t)
-    raise InternalInvariantError(f"no inverse candidate passed at n = {n}, p = {params.p}, q = {q}")
-
-
-def constructive_witness_q(params: CurveParams) -> Witness:
-    """Construct a witness via the general prime-power case analysis, where
-    q_route_applies allows it."""
-    n, p, q = params.n, params.p, params.q
-    if not q_route_applies(n, p, q):
-        raise ParameterError(
-            f"prime-power witness route does not apply at n = {n}, p = {p}, q = {q}"
-        )
-    if p == 2 and (n + 1) % q == 0:  # then d = q - 2, so p | d; take i = q/2 - 1
-        i = q // 2 - 1
-        w = Witness(i=i, floor_value=n * i // q, branch=Branch.POWER2_SPECIAL)
-    else:
-        w = _inverse_witness(params)
-    return _verified(params, w)
+            w = Witness(i=i, floor_value=fv, branch=branch, bezout=bez, determinant_check=t)
+            return _verified(params, w)
+    raise InternalInvariantError(f"no inverse candidate passed at n = {n}, p = {p}, q = {q}")
 
 
 def _verify_branch(params: CurveParams, w: Witness) -> bool:
@@ -273,7 +264,4 @@ def verify_witness(params: CurveParams, w: Witness) -> bool:
 def constructive_witness(params: CurveParams) -> Witness | None:
     """The verified witness at params, or None where no constructive route
     applies: the floor-one rule below 2q, else the prime-power route."""
-    n, p, q = params.n, params.p, params.q
-    if n < 2 * q and prime_route_case(n, p, q) is not None:
-        return constructive_witness_prime(params)
-    return constructive_witness_q(params) if q_route_applies(n, p, q) else None
+    return constructive_witness_prime(params) or constructive_witness_q(params)

@@ -1,5 +1,6 @@
-"""Mutation gate: every and/or operand and every `return False` guard in the
-witness, params, hodge_report and scanner modules is pinned by a Tier-1 test.
+"""Mutation gate: every and/or operand and every `return False` or `return
+None` guard in the witness, params, hodge_report and scanner modules is
+pinned by a Tier-1 test.
 
     python tests/mutation.py
 
@@ -7,7 +8,8 @@ Two operators, applied one site at a time inside each function (top-level
 or a method) of those modules of src/hodgecert:
 
 - force one operand of an `and` to True, or of an `or` to False;
-- disable one `if ...: return False` guard (its test becomes False).
+- disable one `if ...: return False` or `if ...: return None` guard (its
+  test becomes False); a bare `return` is not a guard.
 
 Each mutant rewrites only the text of that operand or test.  It is written
 into a temporary copy of src/, tests/, pyproject.toml and README.md, never
@@ -47,16 +49,16 @@ TREE = ("src", "tests", "pyproject.toml", "README.md")
 SKIP = shutil.ignore_patterns("__pycache__", ".hypothesis", ".pytest_cache")
 
 
-def _is_false_guard(node: ast.AST) -> bool:
-    """`if ...: return False`, with no other statement in the body."""
+def _guard_value(node: ast.AST) -> str | None:
+    """"False" or "None" for `if ...: return False` or `if ...: return None`,
+    with no other statement in the body and the constant written out; else None."""
     if not isinstance(node, ast.If) or len(node.body) != 1:
-        return False
+        return None
     stmt = node.body[0]
-    return (
-        isinstance(stmt, ast.Return)
-        and isinstance(stmt.value, ast.Constant)
-        and stmt.value.value is False
-    )
+    if not (isinstance(stmt, ast.Return) and isinstance(stmt.value, ast.Constant)):
+        return None
+    value = stmt.value.value
+    return repr(value) if value is False or value is None else None
 
 
 def mutation_sites(source: str) -> list[dict]:
@@ -74,8 +76,8 @@ def mutation_sites(source: str) -> list[dict]:
                 op = "and" if forced == "True" else "or"
                 for operand in node.values:
                     sites.append(_site(source, func, operand, forced, f"{op} operand -> {forced}"))
-            elif _is_false_guard(node):
-                sites.append(_site(source, func, node.test, "False", "return False guard off"))
+            elif (value := _guard_value(node)) is not None:
+                sites.append(_site(source, func, node.test, "False", f"return {value} guard off"))
     return sorted(sites, key=lambda s: s["span"])
 
 

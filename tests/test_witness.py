@@ -134,16 +134,13 @@ class TestConstructivePrime:
         w = constructive_witness(validate(11, 3, 1))
         assert (w.i, w.floor_value, w.branch) == (1, 3, Branch.MODULAR_INVERSE)
         assert w.determinant_check == 1
-        with pytest.raises(ParameterError, match="floor-one witness rule does not apply"):
-            constructive_witness_prime(validate(11, 3, 1))
+        assert constructive_witness_prime(validate(11, 3, 1)) is None
 
     def test_precondition_rejected(self):
         # p even and outside (q, 2q)
-        with pytest.raises(ParameterError, match="floor-one witness rule does not apply"):
-            constructive_witness_prime(validate(21, 2, 3))
+        assert constructive_witness_prime(validate(21, 2, 3)) is None
         # p odd but p | n - 1 and n > 2q
-        with pytest.raises(ParameterError, match="floor-one witness rule does not apply"):
-            constructive_witness_prime(validate(31, 3, 2))
+        assert constructive_witness_prime(validate(31, 3, 2)) is None
 
 
 class TestConstructiveQ:
@@ -168,15 +165,12 @@ class TestConstructiveQ:
         assert (w.i, w.branch) == (1, Branch.MODULAR_INVERSE)
 
     def test_rejects_q_dividing_n_minus_1(self):
-        with pytest.raises(ParameterError, match="prime-power witness route does not apply"):
-            constructive_witness_q(validate(19, 3, 2))
+        assert constructive_witness_q(validate(19, 3, 2)) is None
 
     def test_rejects_p2_bad_residue(self):
         # n = 7 = q - 1 mod 2q at q = 8
-        with pytest.raises(ParameterError, match="prime-power witness route does not apply"):
-            constructive_witness_q(validate(7, 2, 3))
-        with pytest.raises(ParameterError, match="prime-power witness route does not apply"):
-            constructive_witness_q(validate(5, 2, 1))
+        assert constructive_witness_q(validate(7, 2, 3)) is None
+        assert constructive_witness_q(validate(5, 2, 1)) is None
 
 
 class TestConstructiveWitness:
@@ -190,6 +184,25 @@ class TestConstructiveWitness:
                 assert w == constructive_witness_q(params)
             else:  # above 2q the odd-prime route applies only where the prime-power one does
                 assert w is None and not conds.witness_prime_applicable
+
+    def test_builders_return_none_exactly_off_their_domain(self):
+        """Each route builder returns None exactly off its domain, stated here
+        from (n, p, q) alone, and elsewhere a witness that verify_witness accepts."""
+        built = Counter()
+        for params in small_grid():
+            n, p, q = params.n, params.p, params.q
+            floor_one = n < 2 * q and (p != 2 or n > q)
+            prime_power = (n - 1) % q != 0 and (p != 2 or n % (2 * q) != q - 1)
+            for builder, applies in (
+                (constructive_witness_prime, floor_one),
+                (constructive_witness_q, prime_power),
+            ):
+                w = builder(params)
+                assert (w is not None) == applies, (builder.__name__, params)
+                if w is not None:
+                    assert verify_witness(params, w), (builder.__name__, params, w)
+                    built[builder.__name__] += 1
+        assert built == {"constructive_witness_prime": 862, "constructive_witness_q": 3180}  # of 3,863
 
 
 class TestVerifiedExit:
@@ -494,11 +507,10 @@ def test_complement_symmetry(params, raw_i):
 @given(valid_params(max_q=729, max_n=3000))
 def test_constructive_prime_sound(params):
     cs = classify(params)
-    if not (cs.witness_prime_applicable and params.n < 2 * params.q):
-        with pytest.raises(ParameterError, match="floor-one witness rule does not apply"):
-            constructive_witness_prime(params)
-        return
     w = constructive_witness_prime(params)
+    if not (cs.witness_prime_applicable and params.n < 2 * params.q):
+        assert w is None
+        return
     assert verify_witness(params, w)
 
 
@@ -517,9 +529,8 @@ def test_constructive_witness_sound(params):
 @given(valid_params(max_q=729, max_n=3000))
 def test_constructive_q_sound(params):
     cs = classify(params)
-    if not cs.witness_q_applicable:
-        with pytest.raises(ParameterError, match="prime-power witness route does not apply"):
-            constructive_witness_q(params)
-        return
     w = constructive_witness_q(params)
+    if not cs.witness_q_applicable:
+        assert w is None
+        return
     assert verify_witness(params, w)
